@@ -280,7 +280,8 @@ double run_blocking_side(RxCount& rx, size_t frame_bytes) {
   ::setsockopt(afd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
   uint64_t rx_base = rx.frames.load();
-  EventLoop loop;  // the old per-message delivery hop
+  LoopThread delivery;  // the old per-message delivery hop
+  EventLoop& loop = delivery.loop();
   std::thread reader([&] {
     while (true) {
       uint8_t header[net::kFrameHeaderBytes];
@@ -342,7 +343,7 @@ double run_blocking_side(RxCount& rx, size_t frame_bytes) {
 }
 
 /// The new path: kSweepThreads threads hammer TcpNode::send (lock-light
-/// enqueue; the io thread coalesces frames into vectored sendmsg calls).
+/// enqueue; the reactor thread coalesces frames into vectored sendmsg calls).
 /// In-flight frames are capped below the per-peer queue bounds so the bench
 /// measures throughput, not drop-oldest backpressure.
 double run_epoll_side(net::TcpNode* sender, RxCount& rx, size_t frame_bytes) {

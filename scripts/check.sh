@@ -174,7 +174,7 @@ if [[ "$URING" == 1 ]]; then
   cmake --build --preset default -j "$JOBS"
   echo "=== [default] ctest (RSPAXOS_IO_BACKEND=uring) ==="
   RSPAXOS_IO_BACKEND=uring ctest --preset default -j "$JOBS" \
-    -R 'storage_test|wal_conformance_test|transport_test|multi_group_tcp_test|multi_reactor_test|admin_http_test'
+    -R 'storage_test|wal_conformance_test|transport_test|reactor_test|multi_group_tcp_test|multi_reactor_test|admin_http_test'
   echo "check.sh: uring suites passed"
   exit 0
 fi

@@ -4,13 +4,7 @@
 
 namespace rspaxos::ec {
 
-EcWorkerPool::EcWorkerPool(int threads) {
-  int n = std::max(1, threads);
-  workers_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
+EcWorkerPool::EcWorkerPool(int threads) : max_workers_(std::max(1, threads)) {}
 
 EcWorkerPool::~EcWorkerPool() {
   {
@@ -18,17 +12,21 @@ EcWorkerPool::~EcWorkerPool() {
     stopping_ = true;
   }
   cv_.notify_all();
+  // Workers exit only once the queue is empty, so every queued job runs.
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
   }
 }
 
 void EcWorkerPool::submit(std::function<void()> job) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    q_.push_back(std::move(job));
+  std::lock_guard<std::mutex> lk(mu_);
+  q_.push_back(std::move(job));
+  if (q_.size() > static_cast<size_t>(idle_) &&
+      workers_.size() < static_cast<size_t>(max_workers_)) {
+    workers_.emplace_back([this] { worker_loop(); });
+  } else {
+    cv_.notify_one();
   }
-  cv_.notify_one();
 }
 
 void EcWorkerPool::drain() {
@@ -39,7 +37,9 @@ void EcWorkerPool::drain() {
 void EcWorkerPool::worker_loop() {
   std::unique_lock<std::mutex> lk(mu_);
   while (true) {
+    idle_++;
     cv_.wait(lk, [this] { return stopping_ || !q_.empty(); });
+    idle_--;
     if (q_.empty()) {
       if (stopping_) return;  // drained: stop only once the queue is empty
       continue;

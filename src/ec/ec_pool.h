@@ -11,7 +11,9 @@
 //
 // Jobs run in submission order per pool but complete on arbitrary workers;
 // callers own posting results back to their reactor (NodeContext::set_timer
-// is thread-safe on every transport).
+// is thread-safe on every transport). Workers start on demand — a submit
+// that finds no idle worker starts one, up to the cap — so a deployment
+// whose values never need off-loop coding never pays for the threads.
 #pragma once
 
 #include <condition_variable>
@@ -25,7 +27,7 @@ namespace rspaxos::ec {
 
 class EcWorkerPool {
  public:
-  /// Spawns `threads` workers (clamped to >= 1).
+  /// Allows up to `threads` workers (clamped to >= 1); starts none.
   explicit EcWorkerPool(int threads);
 
   /// Drains the queue, then joins every worker. Callers must ensure the
@@ -33,24 +35,29 @@ class EcWorkerPool {
   /// practice: destroy the pool before the transport, after hosts stop).
   ~EcWorkerPool();
 
-  /// Enqueues one job. Thread-safe; never blocks on job execution.
+  /// Enqueues one job, starting a worker when more jobs are queued than
+  /// workers are idle and the cap allows. Thread-safe; never blocks on job
+  /// execution. Must not race the destructor.
   void submit(std::function<void()> job);
 
   /// Blocks until every submitted job has finished (test helper).
   void drain();
 
-  int threads() const { return static_cast<int>(workers_.size()); }
+  /// The worker cap.
+  int threads() const { return max_workers_; }
 
  private:
   void worker_loop();
 
+  const int max_workers_;
   std::mutex mu_;
   std::condition_variable cv_;        // workers wait for jobs / stop
   std::condition_variable idle_cv_;   // drain() waits for quiescence
   std::deque<std::function<void()>> q_;
   int running_ = 0;                   // jobs currently executing
+  int idle_ = 0;                      // workers waiting for a job
   bool stopping_ = false;
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> workers_;  // guarded by mu_ until the destructor
 };
 
 }  // namespace rspaxos::ec

@@ -233,8 +233,8 @@ void MigrationDriver::pump() {
     } else {
       item.op = Op::kPut;
       item.offset = pw.size();
-      item.len = rec->data.size();
-      pw.raw(rec->data);
+      item.len = rec->data().size();
+      pw.raw(rec->data());
     }
     bh.items.push_back(std::move(item));
   }

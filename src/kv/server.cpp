@@ -386,7 +386,7 @@ void KvServer::finish_get(NodeId from, uint64_t req_id, const std::string& key) 
     return;
   }
   if (rec->complete) {
-    reply(from, req_id, ReplyCode::kOk, rec->data);
+    reply(from, req_id, ReplyCode::kOk, rec->data());
     return;
   }
   // Recovery read (§4.4): this (new) leader only has a coded share of the
@@ -440,8 +440,8 @@ void KvServer::apply_entry(const ApplyView& view) {
       if (view.full_payload != nullptr) {
         store_.put_complete(cmd.key, *view.full_payload, view.slot);
       } else {
-        store_.put_share(cmd.key, view.share->data, view.share->value_len, view.slot,
-                         0, view.share->value_len);
+        store_.put_share(cmd.key, std::make_shared<const Bytes>(view.share->data),
+                         view.share->value_len, view.slot, 0, view.share->value_len);
       }
       note_applied_write(cmd.key);
       maybe_publish_routing(view, 0, view.full_payload != nullptr
@@ -469,6 +469,7 @@ void KvServer::apply_batch(const ApplyView& view) {
     RSP_ERROR << "kv: undecodable batch header at slot " << view.slot;
     return;
   }
+  std::shared_ptr<const Bytes> share;  // follower: one copy for the whole batch
   for (const BatchItem& item : h.value().items) {
     if (item.op == Op::kDelete) {
       store_.erase(item.key);
@@ -484,8 +485,9 @@ void KvServer::apply_batch(const ApplyView& view) {
       // Follower: keep (a copy of) the instance share per touched key with
       // the key's slice coordinates; a recovery read decodes the instance
       // payload once and slices out the value.
-      store_.put_share(item.key, view.share->data, view.share->value_len, view.slot,
-                       item.offset, item.len);
+      if (share == nullptr) share = std::make_shared<const Bytes>(view.share->data);
+      store_.put_share(item.key, share, view.share->value_len, view.slot, item.offset,
+                       item.len);
     }
     note_applied_write(item.key);
     if (item.key == kRoutingKey) maybe_publish_routing(view, item.offset, item.len);
@@ -586,7 +588,7 @@ StatusOr<Bytes> KvServer::build_state() const {
   store_.for_each([&](const std::string& key, const LocalStore::Record& rec) {
     w.str(key);
     w.varint(rec.slot);
-    w.bytes(rec.data);
+    w.bytes(rec.data());
   });
   w.varint(sealed_.size());
   for (uint32_t s : sealed_) w.varint(s);
@@ -800,7 +802,7 @@ void KvServer::reseal_all() {
   // via recovery read, and the next write re-seals them.
   std::vector<std::pair<std::string, Bytes>> snapshot;
   store_.for_each([&](const std::string& key, const LocalStore::Record& rec) {
-    if (rec.complete) snapshot.emplace_back(key, rec.data);
+    if (rec.complete) snapshot.emplace_back(key, rec.data());
   });
   for (auto& [key, value] : snapshot) {
     CommandHeader h;

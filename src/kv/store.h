@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -19,7 +20,11 @@ namespace rspaxos::kv {
 class LocalStore {
  public:
   struct Record {
-    Bytes data;              // full value, or this replica's share
+    /// The full value, or this replica's share of the instance payload.
+    const Bytes& data() const { return share ? *share : value; }
+
+    Bytes value;                         // complete rows
+    std::shared_ptr<const Bytes> share;  // share rows: one per instance, shared by its keys
     bool complete = false;   // §4.4: followers "tag this value as incomplete"
     uint64_t full_len = 0;   // total length of the instance payload
     uint64_t slot = 0;       // log slot of the last write (recovery read key)
@@ -35,16 +40,19 @@ class LocalStore {
 
   /// Stores this replica's share of the instance payload (follower path).
   /// slice_off/slice_len locate the key's value in the decoded payload; pass
-  /// 0/payload_len for unbatched writes.
-  void put_share(const std::string& key, Bytes share, uint64_t payload_len, uint64_t slot,
-                 uint64_t slice_off, uint64_t slice_len);
+  /// 0/payload_len for unbatched writes. Every key of one batched instance
+  /// holds the same share buffer, so a batch of b keys keeps one share, not
+  /// b copies of it.
+  void put_share(const std::string& key, std::shared_ptr<const Bytes> share,
+                 uint64_t payload_len, uint64_t slot, uint64_t slice_off, uint64_t slice_len);
 
   void erase(const std::string& key);
 
   const Record* find(const std::string& key) const;
 
   size_t size() const { return table_.size(); }
-  /// Total bytes resident — the paper's storage-cost metric.
+  /// Total bytes of every row's data() — the paper's storage-cost metric.
+  /// A share held by several keys of one batch counts once per key.
   uint64_t resident_bytes() const { return resident_bytes_; }
   uint64_t incomplete_count() const { return incomplete_; }
 

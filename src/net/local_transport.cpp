@@ -13,14 +13,14 @@ void LocalNode::send(NodeId to, MsgType type, Bytes payload) {
 }
 
 NodeContext::TimerId LocalNode::set_timer(DurationMicros delay, TimerFn fn) {
-  return loop_.schedule(delay, std::move(fn));
+  return loop().schedule(delay, std::move(fn));
 }
 
-bool LocalNode::cancel_timer(TimerId id) { return loop_.cancel(id); }
+bool LocalNode::cancel_timer(TimerId id) { return loop().cancel(id); }
 
 void LocalNode::run_sync(std::function<void()> fn) {
   std::promise<void> done;
-  loop_.post([&] {
+  loop().post([&] {
     fn();
     done.set_value();
   });

@@ -1,5 +1,5 @@
-// In-process transport: each node is a real EventLoop thread; messages hop
-// between loops through thread-safe queues.
+// In-process transport: each node's EventLoop runs on its own LoopThread;
+// messages hop between loops through thread-safe queues.
 //
 // This is the "real execution" counterpart of the simulator — same
 // NodeContext contract, actual concurrency. Tests use it to shake out
@@ -22,18 +22,18 @@ namespace rspaxos::net {
 
 class LocalTransport;
 
-/// One node endpoint: owns the node's EventLoop.
+/// One node endpoint: owns the node's loop thread.
 class LocalNode final : public NodeContext {
  public:
   NodeId id() const override { return id_; }
-  TimeMicros now() const override { return loop_.now(); }
+  TimeMicros now() const override { return runner_.loop().now(); }
   void send(NodeId to, MsgType type, Bytes payload) override;
   TimerId set_timer(DurationMicros delay, TimerFn fn) override;
   bool cancel_timer(TimerId id) override;
   uint64_t bytes_sent() const override { return bytes_sent_.load(); }
 
   void set_handler(MessageHandler* handler) override { handler_ = handler; }
-  EventLoop& loop() { return loop_; }
+  EventLoop& loop() { return runner_.loop(); }
 
   /// Runs fn on the node's loop thread and waits for it (test helper).
   void run_sync(std::function<void()> fn);
@@ -42,8 +42,8 @@ class LocalNode final : public NodeContext {
   friend class LocalTransport;
   LocalNode(LocalTransport* t, NodeId id) : transport_(t), id_(id) {
     metrics_.init(id);
-    // Tag the node's EventLoop thread so its log lines carry node=<id>.
-    loop_.post([id] { set_log_node(id); });
+    // Tag the node's loop thread so its log lines carry node=<id>.
+    loop().post([id] { set_log_node(id); });
   }
 
   LocalTransport* transport_;
@@ -51,7 +51,7 @@ class LocalNode final : public NodeContext {
   std::atomic<MessageHandler*> handler_{nullptr};
   std::atomic<uint64_t> bytes_sent_{0};
   obs::TransportMetrics metrics_;
-  EventLoop loop_;
+  LoopThread runner_;
 };
 
 /// Registry + fabric for LocalNodes. Optional artificial delay/loss lets

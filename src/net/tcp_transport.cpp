@@ -31,10 +31,18 @@ constexpr size_t kMaxBatchFrames = kMaxIov / 2;
 constexpr DurationMicros kMinBackoffUs = 2'000;
 constexpr DurationMicros kMaxBackoffUs = 500'000;
 
-// Inbound decode buffer: initial size, and the high-water mark above which a
-// drained buffer is shrunk back (a single 64 MiB frame must not pin 64 MiB
-// per connection forever).
+// Inbound decode buffer: a connection starts small and doubles up to
+// kReadBufBytes while its reads keep filling the buffer, so a quiet
+// connection never pays for a large one; a frame larger than the buffer grows
+// it to fit. Above kReadBufShrinkBytes a drained buffer shrinks back to
+// kReadBufBytes (a single 64 MiB frame must not pin 64 MiB per connection
+// forever).
+constexpr size_t kInitialReadBufBytes = 16 * 1024;
 constexpr size_t kReadBufBytes = 128 * 1024;
+
+// Longest the reactor blocks with nothing scheduled; a backstop only, since
+// shutdown and cross-thread posts write the eventfd.
+constexpr int64_t kMaxWaitUs = 1'000'000;
 
 // Socket buffers: deep enough that a writev burst rarely stalls on EAGAIN
 // mid-batch (each stall costs an epoll round trip and two epoll_ctl calls).
@@ -97,9 +105,6 @@ TimeMicros TcpHost::steady_now_us() {
 TcpHost::TcpHost(TcpTransport* t, HostId id, int listen_fd)
     : transport_(t), id_(id), listen_fd_(listen_fd) {
   io_metrics_.init(id);
-  // Tag the protocol thread so every log line carries node=<host id>.
-  loop_.post([id] { set_log_node(id); });
-
   driver_ = util::make_io_driver();
   wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
 
@@ -136,10 +141,7 @@ TcpHost::~TcpHost() {
 
 void TcpHost::shutdown() {
   if (stopping_.exchange(true)) return;
-  if (wake_fd_ >= 0) {
-    uint64_t one = 1;
-    [[maybe_unused]] ssize_t r = ::write(wake_fd_, &one, sizeof(one));
-  }
+  loop_.stop();  // also wakes the reactor
   if (io_thread_.joinable()) io_thread_.join();
   // io_loop() closes listen_fd_ on exit; if it never ran (driver/eventfd
   // setup failure), the listener is still ours to close.
@@ -147,16 +149,25 @@ void TcpHost::shutdown() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  loop_.stop();
 }
 
 void TcpHost::register_endpoint(TcpNode* ep) {
   loop_.post([this, ep] { endpoints_[ep->id()] = ep; });
 }
 
+void TcpHost::wake() {
+  // A stopping host must still be woken (shutdown relies on it); the fd
+  // stays open until the destructor.
+  if (wake_fd_ < 0) return;
+  if (io_busy_.load() && !stopping_.load(std::memory_order_relaxed)) return;
+  uint64_t one = 1;
+  [[maybe_unused]] ssize_t r = ::write(wake_fd_, &one, sizeof(one));
+}
+
 // ---------------------------------------------------------------------------
-// send path (any thread): enqueue + at most one eventfd write. Never blocks
-// on a socket, a connect, or another peer's queue.
+// send path (any thread): enqueue + at most one eventfd write, none from the
+// reactor thread. Never blocks on a socket, a connect, or another peer's
+// queue.
 
 void TcpHost::send_frame(NodeId from, NodeId to, MsgType type, Bytes payload) {
   bool sampled = (stall_sample_.fetch_add(1, std::memory_order_relaxed) & 0xf) == 0;
@@ -215,11 +226,12 @@ void TcpHost::send_frame(NodeId from, NodeId to, MsgType type, Bytes payload) {
     send_drops_.fetch_add(dropped, std::memory_order_relaxed);
     io_metrics_.drops_queue_full->inc(dropped);
   }
-  // The eventfd write is needed only when the I/O thread may be parked in
-  // epoll_wait. While it is mid-cycle (io_busy_), the post-cycle queue rescan
-  // is guaranteed to see this frame: the enqueue above happens-before this
-  // seq_cst load, which reads true only if the rescan has not run yet.
-  if (need_wake && !io_busy_.load() &&
+  // The eventfd write is needed only when the reactor may be parked in its
+  // IoDriver wait. On the reactor thread itself, and while it is mid-cycle
+  // (io_busy_), the post-cycle queue rescan is guaranteed to see this frame:
+  // the enqueue above happens-before this seq_cst load, which reads true
+  // only if the rescan has not run yet.
+  if (need_wake && !loop_.on_loop_thread() && !io_busy_.load() &&
       !stopping_.load(std::memory_order_relaxed) && wake_fd_ >= 0) {
     uint64_t one = 1;
     [[maybe_unused]] ssize_t r = ::write(wake_fd_, &one, sizeof(one));
@@ -233,14 +245,13 @@ void TcpHost::send_frame(NodeId from, NodeId to, MsgType type, Bytes payload) {
 }
 
 // ---------------------------------------------------------------------------
-// I/O thread: one epoll loop over the listener, every inbound connection and
-// every outbound peer socket.
+// Reactor thread: one IoDriver wait over the listener, every inbound
+// connection and every outbound peer socket, then the loop's due timers and
+// tasks, then the outbound queues.
 
-int TcpHost::io_timeout_ms() const {
-  // Next deadline is the earliest reconnect retry among idle peers that have
-  // work queued; cap at 1 s so the loop re-checks stopping_ regularly.
+int64_t TcpHost::io_timeout_us() const {
   TimeMicros now = steady_now_us();
-  int64_t best_ms = 1000;
+  int64_t best = kMaxWaitUs;
   for (const auto& [pid, p] : peers_) {
     if (p->state != PeerState::kIdle) continue;
     bool pending = !p->inflight.empty();
@@ -249,26 +260,24 @@ int TcpHost::io_timeout_ms() const {
       pending = !p->q.empty();
     }
     if (!pending) continue;
-    int64_t delta_ms =
-        p->retry_at > now ? static_cast<int64_t>((p->retry_at - now + 999) / 1000) : 0;
-    if (delta_ms < best_ms) best_ms = delta_ms;
+    best = std::min<int64_t>(best, std::max<int64_t>(0, p->retry_at - now));
   }
-  return static_cast<int>(best_ms);
+  return best;
 }
 
 void TcpHost::io_loop() {
+  // Tag the reactor thread so every log line carries node=<host id>.
   set_log_node(id_);
+  loop_.bind_owner();
   util::IoEvent evs[64];
+  int64_t wait_us = 0;
   while (!stopping_.load(std::memory_order_relaxed)) {
-    int n = driver_->wait(evs, 64, io_timeout_ms());
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    // Senders skip the eventfd syscall while we are demonstrably awake; the
-    // rescan after the flag clears picks up anything enqueued meanwhile.
+    int n = driver_->wait(evs, 64, wait_us);
+    if (n < 0 && errno != EINTR) break;
+    // Other threads skip the eventfd syscall while we are demonstrably
+    // awake; the loop run and queue rescan after the flag clears pick up
+    // anything queued meanwhile.
     io_busy_.store(true);
-    bool woke = n == 0;  // timeout: retry deadlines may have passed
     for (int i = 0; i < n && !stopping_.load(std::memory_order_relaxed); ++i) {
       auto* tag = static_cast<FdTag*>(evs[i].tag);
       switch (tag->kind) {
@@ -276,7 +285,6 @@ void TcpHost::io_loop() {
           uint64_t v;
           while (::read(wake_fd_, &v, sizeof(v)) > 0) {
           }
-          woke = true;
           break;
         }
         case TagKind::kListen:
@@ -296,26 +304,31 @@ void TcpHost::io_loop() {
           break;
       }
     }
-    if (stopping_.load(std::memory_order_relaxed)) break;
-    if (woke) {
-      for (auto& [pid, p] : peers_) flush_peer(p.get());
-    }
     io_busy_.store(false);
-    // Wake-elision rescan: any frame whose sender saw io_busy_ was enqueued
-    // before this point (seq_cst), so it is visible to these queue checks.
-    // Peers with EPOLLOUT armed are skipped — the socket event drives them.
+    // Due timers and posted tasks. A post or timer from another thread that
+    // saw io_busy_ was queued before this point (seq_cst), so this run sees
+    // it; one arriving later finds io_busy_ clear and writes the eventfd.
+    int64_t loop_us = loop_.run_ready();
+    // Flush every queue with frames: this cycle's handler and timer sends,
+    // frames whose sender elided the wake, and idle peers whose reconnect
+    // retry is due. Peers with EPOLLOUT armed are skipped — the socket event
+    // drives them.
     for (auto& [pid, p] : peers_) {
       if (p->want_write) continue;
-      bool pending;
-      {
+      bool pending = !p->inflight.empty();
+      if (!pending) {
         std::lock_guard<std::mutex> lk(p->mu);
         pending = !p->q.empty();
       }
       if (pending) flush_peer(p.get());
     }
+    wait_us = io_timeout_us();
+    if (loop_us >= 0) wait_us = std::min(wait_us, loop_us);
   }
 
-  // Shutdown: close everything owned by this thread.
+  // Shutdown: the loop is stopped; run what was queued before the stop,
+  // then close everything owned by this thread.
+  loop_.run_ready();
   for (auto& c : conns_) ::close(c->fd);
   conns_.clear();
   for (auto& [pid, p] : peers_) {
@@ -339,7 +352,7 @@ void TcpHost::on_acceptable() {
     ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &buf_sz, sizeof(buf_sz));
     auto c = std::make_unique<Conn>();
     c->fd = fd;
-    c->buf.resize(kReadBufBytes);
+    c->buf.resize(kInitialReadBufBytes);
     c->tag.p = c.get();
     conns_.push_back(std::move(c));
     Conn* raw = conns_.back().get();
@@ -370,7 +383,7 @@ void TcpHost::on_conn_readable(Conn* c) {
     }
     size_t want = c->buf.size() - c->filled;
     ssize_t n = ::read(c->fd, c->buf.data() + c->filled, want);
-    if (n == 0) {  // peer closed; pending complete frames were already posted
+    if (n == 0) {  // peer closed; pending complete frames were already handled
       close_conn(c);
       return;
     }
@@ -388,27 +401,22 @@ void TcpHost::on_conn_readable(Conn* c) {
     // Partial read: the socket is likely drained; level-triggered epoll
     // re-fires if more arrives, so yield to the rest of the loop.
     if (static_cast<size_t>(n) < want) return;
+    // The read filled the buffer, so more is likely queued: read in bigger
+    // bursts from now on.
+    if (c->buf.size() < kReadBufBytes) {
+      c->buf.resize(std::min(c->buf.size() * 2, kReadBufBytes));
+    }
   }
 }
 
 bool TcpHost::decode_and_dispatch(Conn* c) {
-  struct FrameRef {
-    NodeId from;
-    NodeId to;
-    uint16_t type;
-    size_t off;
-    size_t len;
-    obs::SpanContext span;
-  };
-  // Complete frames stay in place: the whole read buffer is moved into one
-  // EventLoop task (frame refs are offsets into it) and the connection gets a
-  // fresh buffer, seeded with the trailing partial frame if any. Zero copies
-  // of delivered payload bytes, one task per read burst. One burst may carry
-  // frames for several endpoints; the task demultiplexes per frame.
-  std::vector<FrameRef> frames;
+  // Complete frames are handed to their handlers in place: the BytesView
+  // points into the connection buffer and is valid only for the duration of
+  // on_message. Zero copies and no allocation per delivered frame. One burst
+  // may carry frames for several endpoints; each is demultiplexed here.
   size_t pos = 0;
   bool fatal = false;
-  while (c->filled - pos >= kFrameHeaderBytes) {
+  while (c->filled - pos >= kFrameHeaderBytes && !stopping_.load(std::memory_order_relaxed)) {
     FrameHeader h = decode_frame_header(c->buf.data() + pos);
     if (h.payload_len > kMaxFrameBytes) {
       RSP_WARN << "tcp: oversized frame (" << h.payload_len << " bytes), closing";
@@ -416,47 +424,26 @@ bool TcpHost::decode_and_dispatch(Conn* c) {
       break;
     }
     if (c->filled - pos < kFrameHeaderBytes + h.payload_len) break;
-    const uint8_t* payload = c->buf.data() + pos + kFrameHeaderBytes;
-    if (crc32c(BytesView(payload, h.payload_len)) != h.crc) {
-      RSP_WARN << "tcp: frame checksum mismatch from node " << h.from << ", dropping";
-    } else {
-      frames.push_back({h.from, h.to, h.type, pos + kFrameHeaderBytes, h.payload_len,
-                        obs::SpanContext{h.trace_id, h.span_id}});
-    }
+    BytesView payload(c->buf.data() + pos + kFrameHeaderBytes, h.payload_len);
     pos += kFrameHeaderBytes + h.payload_len;
-  }
-
-  bool posted = false;
-  if (!frames.empty() && !stopping_.load(std::memory_order_relaxed)) {
-    size_t leftover = c->filled - pos;
-    Bytes next = take_read_buf(std::max<size_t>(kReadBufBytes, leftover));
-    std::memcpy(next.data(), c->buf.data() + pos, leftover);
-    Bytes burst = std::move(c->buf);
-    c->buf = std::move(next);  // also sheds any grown huge-frame buffer
-    c->filled = leftover;
-    posted = true;
-    loop_.post([this, burst = std::move(burst), frames = std::move(frames)]() mutable {
-      for (const FrameRef& f : frames) {
-        // endpoints_ is loop-thread-confined; a frame for an endpoint that
-        // has not registered yet (or a stale destination) is dropped and the
-        // sender's protocol retransmits.
-        auto eit = endpoints_.find(f.to);
-        if (eit == endpoints_.end()) continue;
-        MessageHandler* h = eit->second->handler_.load();
-        if (h == nullptr) continue;
-        obs::SpanScope scope(f.span);
-        h->on_message(f.from, static_cast<MsgType>(f.type),
-                      BytesView(burst.data() + f.off, f.len));
-      }
-      recycle_read_buf(std::move(burst));
-    });
+    if (crc32c(payload) != h.crc) {
+      RSP_WARN << "tcp: frame checksum mismatch from node " << h.from << ", dropping";
+      continue;
+    }
+    // A frame for an endpoint that has not registered yet (or a stale
+    // destination) is dropped and the sender's protocol retransmits.
+    auto eit = endpoints_.find(h.to);
+    if (eit == endpoints_.end()) continue;
+    MessageHandler* handler = eit->second->handler_.load();
+    if (handler == nullptr) continue;
+    obs::SpanScope scope(obs::SpanContext{h.trace_id, h.span_id});
+    handler->on_message(h.from, static_cast<MsgType>(h.type), payload);
   }
 
   // A fatal frame means the connection must die. The caller owns closing it
   // (close_conn destroys *c, so nothing here may touch the Conn afterwards).
   if (fatal) return false;
-  if (posted) return true;
-  if (pos > 0) {  // only corrupt/skipped frames this burst
+  if (pos > 0) {
     std::memmove(c->buf.data(), c->buf.data() + pos, c->filled - pos);
     c->filled -= pos;
   }
@@ -466,27 +453,6 @@ bool TcpHost::decode_and_dispatch(Conn* c) {
     c->buf.swap(smaller);
   }
   return true;
-}
-
-Bytes TcpHost::take_read_buf(size_t min_bytes) {
-  {
-    std::lock_guard<std::mutex> lk(buf_pool_mu_);
-    // Pool entries are all kReadBufBytes; an oversized request (huge frame
-    // in progress) falls through to a fresh allocation.
-    if (!buf_pool_.empty() && buf_pool_.back().size() >= min_bytes) {
-      Bytes b = std::move(buf_pool_.back());
-      buf_pool_.pop_back();
-      return b;
-    }
-  }
-  return Bytes(std::max(min_bytes, kReadBufBytes));
-}
-
-void TcpHost::recycle_read_buf(Bytes b) {
-  constexpr size_t kBufPoolMax = 8;
-  if (b.size() != kReadBufBytes) return;  // don't cache grown huge-frame buffers
-  std::lock_guard<std::mutex> lk(buf_pool_mu_);
-  if (buf_pool_.size() < kBufPoolMax) buf_pool_.push_back(std::move(b));
 }
 
 // ---------------------------------------------------------------------------
@@ -683,9 +649,13 @@ void TcpHost::flush_peer(Peer* p) {
 // ---------------------------------------------------------------------------
 
 TcpTransport::~TcpTransport() {
+  // Hosts first: joins every reactor thread, after which no thread can touch
+  // the endpoint objects the nodes_ map still owns.
+  shutdown();
+}
+
+void TcpTransport::shutdown() {
   std::lock_guard<std::mutex> lk(mu_);
-  // Hosts first: joins every I/O thread and stops every loop, after which no
-  // thread can touch the endpoint objects the nodes_ map still owns.
   for (auto& [id, host] : hosts_) host->shutdown();
 }
 

@@ -1,36 +1,40 @@
 // TCP transport: non-blocking readiness-driven sockets (epoll or io_uring
 // behind util::IoDriver, RSPAXOS_IO_BACKEND selects), one listener and one
-// I/O thread per *host*, length-prefixed CRC-checked frames.
+// reactor thread per *host*, length-prefixed CRC-checked frames.
 //
 // Mirrors the paper's implementation substrate (§5: "an asynchronous RPC
-// module for message passing between processes. It uses TCP"). Delivery runs
-// on the host's EventLoop thread, so protocol code sees the identical
-// single-threaded contract as under the simulator.
+// module for message passing between processes. It uses TCP"). Each TcpHost
+// is a single-threaded reactor: its I/O thread waits on the IoDriver, hands
+// every complete inbound frame to its endpoint's handler inline, straight
+// from the connection's decode buffer, and between waits runs the host's
+// EventLoop timers and posted tasks. Protocol code therefore sees the same
+// single-threaded contract as under the simulator, with no thread hop
+// between a socket read and the handler.
 //
 // Since the multi-group node host change, one physical endpoint (socket +
-// I/O driver + I/O thread + EventLoop) can serve many logical NodeContexts: a
-// HostMap (net/routing.h) collapses composite endpoint NodeIds onto hosts,
-// every frame carries its destination endpoint in the header, and the
-// receiving host demultiplexes inbound frames to the right TcpNode on the
-// shared loop. The default HostMap is the identity, preserving the historical
+// I/O driver + reactor thread + EventLoop) can serve many logical
+// NodeContexts: a HostMap (net/routing.h) collapses composite endpoint
+// NodeIds onto hosts, every frame carries its destination endpoint in the
+// header, and the receiving host demultiplexes inbound frames to the right
+// TcpNode. The default HostMap is the identity, preserving the historical
 // one-node-per-socket behavior for existing assemblies. A HostMap with
 // reactors > 1 makes each (server, reactor) pair its own TcpHost — N listen
-// sockets, loops and I/O threads per machine with round-robin static group
+// sockets and reactor threads per machine with round-robin static group
 // placement — so frames land directly on the owning reactor's socket and
 // consensus for independent shards runs truly in parallel.
 //
 // send() never touches a socket: it appends the frame to a bounded per-peer
 // outbound queue (drop-oldest backpressure, preserving the datagram
-// semantics of the NodeContext contract) and, at most, writes one eventfd
-// wakeup. The I/O thread drains queues with writev — header + payload and
-// multiple queued frames coalesce into a single vectored syscall — and folds
-// all inbound connections into the same epoll loop with reusable per-
-// connection decode buffers. Outbound connects are asynchronous
-// (EINPROGRESS) with exponential-backoff reconnect, so an unreachable peer
-// never stalls the caller. All endpoints sharing a host also share its
-// per-peer-host queues and connections.
+// semantics of the NodeContext contract). Sends from the reactor thread
+// itself — every handler and timer — need no wakeup: the reactor drains the
+// queues before it next waits. Other threads write at most one eventfd
+// wakeup. The reactor drains queues with writev — header + payload and
+// multiple queued frames coalesce into a single vectored syscall. Outbound
+// connects are asynchronous (EINPROGRESS) with exponential-backoff
+// reconnect, so an unreachable peer never stalls the caller. All endpoints
+// sharing a host also share its per-peer-host queues and connections.
 //
-// Frame format: see net/frame.h (v2, with a destination endpoint field).
+// Frame format: see net/frame.h (v3: destination endpoint and trace ids).
 #pragma once
 
 #include <array>
@@ -80,7 +84,8 @@ class TcpNode final : public NodeContext {
   bool on_context_thread() const override;
 
   void set_handler(MessageHandler* handler) override { handler_.store(handler); }
-  /// The owning host's loop — shared by all endpoints on the host.
+  /// The owning host's loop — shared by all endpoints on the host and run on
+  /// its reactor thread.
   EventLoop& loop();
 
   /// Frames dropped by the owning host's send path (queue overflow /
@@ -91,7 +96,7 @@ class TcpNode final : public NodeContext {
   /// queue. Any thread — the health watchdog samples this each probe.
   uint64_t max_peer_queue_depth() const;
 
-  /// Stops the owning host: I/O thread joined, all sockets closed. Every
+  /// Stops the owning host: reactor thread joined, all sockets closed. Every
   /// endpoint sharing the host goes quiet with it; queued-but-unsent frames
   /// are dropped (datagram semantics).
   void shutdown();
@@ -115,7 +120,7 @@ class TcpNode final : public NodeContext {
 };
 
 /// One physical endpoint: listener socket, I/O driver (epoll or io_uring),
-/// I/O thread, EventLoop and per-peer-host outbound queues, serving every
+/// reactor thread, EventLoop and per-peer-host outbound queues, serving every
 /// TcpNode mapped onto it. With a reactors > 1 HostMap, one machine runs
 /// several TcpHosts — one per reactor.
 class TcpHost {
@@ -125,8 +130,10 @@ class TcpHost {
   HostId id() const { return id_; }
   EventLoop& loop() { return loop_; }
 
-  /// Stops the I/O thread, closes all sockets, joins. Called by the
-  /// destructor; queued-but-unsent frames are dropped (datagram semantics).
+  /// Stops the loop (later posts and timers are dropped), runs the tasks
+  /// queued before the stop, closes all sockets and joins the reactor
+  /// thread. Called by the destructor; queued-but-unsent frames are dropped
+  /// (datagram semantics).
   void shutdown();
 
  private:
@@ -178,8 +185,8 @@ class TcpHost {
   };
 
   /// One accepted inbound connection: rolling decode buffer reused across
-  /// frames (no per-message allocation for small frames; completed frames in
-  /// one read burst are copied out and posted to the EventLoop as a batch).
+  /// frames. Complete frames are handed to handlers in place, so steady-state
+  /// receive neither allocates nor copies payload bytes.
   struct Conn {
     int fd = -1;
     Bytes buf;
@@ -194,11 +201,13 @@ class TcpHost {
   /// queue of `to`'s host. Callable from any thread.
   void send_frame(NodeId from, NodeId to, MsgType type, Bytes payload);
   /// Makes `ep` visible to inbound dispatch. Registration is posted onto the
-  /// loop thread — the endpoint map is loop-thread-confined, so the inbound
-  /// hot path reads it without a lock (frames racing registration are
-  /// dropped; peers retransmit).
+  /// loop — the endpoint map is reactor-thread-confined, so the inbound hot
+  /// path reads it without a lock (frames racing registration are dropped;
+  /// peers retransmit).
   void register_endpoint(TcpNode* ep);
 
+  /// Loop waker: one eventfd write unless the reactor is mid-cycle.
+  void wake();
   void io_loop();
   void on_acceptable();
   void on_conn_readable(Conn* c);
@@ -207,14 +216,14 @@ class TcpHost {
   /// by the caller (close_conn destroys the Conn, so this function never
   /// closes it itself — the caller must not touch *c after a false return).
   bool decode_and_dispatch(Conn* c);
-  Bytes take_read_buf(size_t min_bytes);
-  void recycle_read_buf(Bytes b);
   void flush_peer(Peer* p);
   void start_connect(Peer* p);
   void handle_peer_event(Peer* p, uint32_t events);
   void peer_disconnected(Peer* p, const char* why);
   void set_peer_writable_interest(Peer* p, bool want);
-  int io_timeout_ms() const;
+  /// Longest the reactor may block for socket work: until the earliest
+  /// reconnect retry of an idle peer with frames queued, capped at 1 s.
+  int64_t io_timeout_us() const;
   static TimeMicros steady_now_us();
 
   TcpTransport* transport_;
@@ -224,15 +233,16 @@ class TcpHost {
   int wake_fd_ = -1;
   FdTag wake_tag_{TagKind::kWake, nullptr};
   FdTag listen_tag_{TagKind::kListen, nullptr};
-  // Whether the I/O thread was launched (driver/eventfd setup succeeded).
+  // Whether the reactor thread was launched (driver/eventfd setup succeeded).
   // Written once in the constructor; checked by start_node() to surface a
   // dead host as a Status and by shutdown() for listen_fd_ ownership.
   bool io_started_ = false;
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> send_drops_{0};
-  // True while the I/O thread is processing an epoll batch. Senders elide the
-  // eventfd wake when set; the I/O thread clears it and then rescans every
-  // queue, so a frame enqueued during the busy window is always picked up.
+  // True while the reactor is handling a batch of I/O events. Other threads
+  // elide the eventfd wake when set: the reactor clears it, then runs the
+  // loop and rescans every queue, so a task or frame queued during the busy
+  // window is always picked up.
   std::atomic<bool> io_busy_{false};
   // send() stall timing is sampled 1-in-16 (two clock reads per frame are
   // measurable at millions of frames/s); this is the sample counter.
@@ -242,20 +252,13 @@ class TcpHost {
   // Built once in the constructor from the transport's address map and
   // immutable afterwards, so lookups need no lock.
   std::map<HostId, std::unique_ptr<Peer>> peers_;
-  std::list<std::unique_ptr<Conn>> conns_;  // I/O-thread private
+  std::list<std::unique_ptr<Conn>> conns_;  // reactor-thread private
 
-  // Loop-thread-confined: inbound frames are demultiplexed to endpoints from
-  // delivery tasks running on loop_, and registrations are posted onto it.
+  // Reactor-thread-confined: inbound frames are demultiplexed here, and
+  // registrations are posted onto the loop.
   std::map<NodeId, TcpNode*> endpoints_;
 
-  // Recycled receive buffers: decode_and_dispatch moves each filled buffer
-  // into the delivery task and takes a replacement here, so steady-state
-  // receive allocates nothing (a fresh Bytes would zero-fill kReadBufBytes
-  // per read burst).
-  std::mutex buf_pool_mu_;
-  std::vector<Bytes> buf_pool_;
-
-  EventLoop loop_;
+  EventLoop loop_{[this] { wake(); }};
   std::thread io_thread_;
 };
 
@@ -276,6 +279,12 @@ class TcpTransport {
   /// configured port is already taken (e.g. a free_ports() reservation raced
   /// another process) — callers should pick fresh ports and retry.
   StatusOr<TcpNode*> start_node(NodeId id);
+
+  /// Stops every host (see TcpHost::shutdown) but keeps the endpoint
+  /// objects alive, so late cross-thread posts (a WAL completion, say) land
+  /// on a stopped loop and are dropped instead of touching freed memory.
+  /// Called by the destructor; idempotent.
+  void shutdown();
 
   const PeerAddr& addr(HostId id) const { return addrs_.at(id); }
   const HostMap& host_map() const { return host_map_; }

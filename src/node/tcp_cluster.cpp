@@ -240,9 +240,12 @@ TcpCluster::~TcpCluster() {
   // Admin servers first: their handlers read hosts and post onto loops.
   // Then detach handlers (no new proposals reach replicas, so no new EC
   // submissions), drain the EC pool while the loops still run (queued
-  // completions post onto live contexts), then join the I/O threads; only
-  // afterwards is it safe to destroy servers, WALs and stores (no delivery
-  // or completion can be in flight).
+  // completions post onto live contexts), then stop every reactor; only
+  // afterwards is it safe to destroy servers (no delivery, timer or task
+  // can run). The WALs go next: a flusher may still complete a follower's
+  // append, and its continuation posts onto the endpoint — a stopped loop
+  // drops it, but only while the transport still owns the endpoint, so the
+  // transport is freed last.
   for (auto& a : admins_) {
     if (a) a->stop();
   }
@@ -255,9 +258,11 @@ TcpCluster::~TcpCluster() {
     if (h) h->stop();
   }
   ec_pool_.reset();
-  transport_.reset();
+  if (transport_) transport_->shutdown();
   balancers_.clear();
   hosts_.clear();
+  wals_.clear();
+  transport_.reset();
   admins_.clear();
 }
 

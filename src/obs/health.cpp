@@ -91,18 +91,22 @@ int64_t HealthMonitor::wall_now_us() {
 }
 
 void HealthMonitor::start(NodeContext* ctx) {
+  std::lock_guard<std::mutex> lk(timer_mu_);
+  // A start posted onto the loop can run after an immediate teardown's
+  // stop(); it must not arm a probe then.
+  if (stopped_) return;
   ctx_ = ctx;
   running_.store(true, std::memory_order_release);
   expected_at_node_us_.store(static_cast<int64_t>(ctx_->now()) +
                                  static_cast<int64_t>(opts_.probe_interval),
                              std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lk(timer_mu_);
   timer_ = ctx_->set_timer(opts_.probe_interval, [this] { probe(); });
 }
 
 void HealthMonitor::stop() {
   running_.store(false, std::memory_order_release);
   std::lock_guard<std::mutex> lk(timer_mu_);
+  stopped_ = true;
   if (ctx_ != nullptr && timer_ != 0) {
     ctx_->cancel_timer(timer_);
     timer_ = 0;

@@ -119,9 +119,10 @@ class HealthMonitor {
   uint32_t server_;
   uint32_t reactor_;
   HealthOptions opts_;
-  NodeContext* ctx_ = nullptr;
-  std::mutex timer_mu_;  // serializes whole probe bodies against stop()
-  NodeContext::TimerId timer_ = 0;
+  std::mutex timer_mu_;  // serializes start() and whole probe bodies against stop()
+  NodeContext* ctx_ = nullptr;       // guarded by timer_mu_
+  NodeContext::TimerId timer_ = 0;   // guarded by timer_mu_
+  bool stopped_ = false;             // guarded by timer_mu_
   std::atomic<bool> running_{false};
 
   std::atomic<int64_t> last_probe_node_us_{0};

@@ -6,8 +6,6 @@
 
 namespace rspaxos {
 
-Histogram::Histogram() : buckets_(static_cast<size_t>(kOctaves) * kSubBuckets, 0) {}
-
 int Histogram::bucket_index(int64_t v) {
   if (v < 0) v = 0;
   uint64_t u = static_cast<uint64_t>(v);
@@ -32,8 +30,8 @@ int64_t Histogram::bucket_lower(int index) {
 }
 
 void Histogram::record(int64_t value) {
-  int idx = bucket_index(value);
-  if (idx >= static_cast<int>(buckets_.size())) idx = static_cast<int>(buckets_.size()) - 1;
+  size_t idx = std::min(static_cast<size_t>(bucket_index(value)), kBuckets - 1);
+  if (idx >= buckets_.size()) buckets_.resize((idx / kSubBuckets + 1) * kSubBuckets, 0);
   buckets_[idx]++;
   if (count_ == 0) {
     min_ = max_ = value;
@@ -46,7 +44,8 @@ void Histogram::record(int64_t value) {
 }
 
 void Histogram::merge(const Histogram& other) {
-  for (size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
+  if (other.buckets_.size() > buckets_.size()) buckets_.resize(other.buckets_.size(), 0);
+  for (size_t i = 0; i < other.buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
   if (other.count_) {
     if (count_ == 0) {
       min_ = other.min_;
@@ -82,10 +81,10 @@ int64_t Histogram::value_at(double q) const {
     if (seen >= target) {
       int64_t lo = bucket_lower(static_cast<int>(i));
       // The terminal bucket also absorbs clamped out-of-range records, and
-      // bucket_lower(size) would shift past 2^63 — its real upper edge is
-      // the observed max.
-      int64_t hi = i + 1 == buckets_.size() ? max_
-                                            : bucket_lower(static_cast<int>(i) + 1);
+      // bucket_lower(kBuckets) would shift past 2^63 — its real upper edge
+      // is the observed max. The allocated prefix may end earlier; its last
+      // bucket is not terminal.
+      int64_t hi = i + 1 == kBuckets ? max_ : bucket_lower(static_cast<int>(i) + 1);
       // Linear interpolation by mid-rank within the bucket: ranks spread
       // uniformly across [lo, hi), so an exact-valued bucket never reports
       // its upper edge.

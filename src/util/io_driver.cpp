@@ -4,6 +4,7 @@
 #include <sys/epoll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -72,6 +73,13 @@ size_t advance_iov(std::vector<iovec>& iov, size_t i, size_t n) {
   return i;
 }
 
+timespec to_timespec(int64_t us) {
+  timespec ts{};
+  ts.tv_sec = static_cast<time_t>(us / 1'000'000);
+  ts.tv_nsec = static_cast<long>(us % 1'000'000) * 1000;
+  return ts;
+}
+
 class EpollIoDriver final : public IoDriver {
  public:
   EpollIoDriver() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {}
@@ -98,9 +106,20 @@ class EpollIoDriver final : public IoDriver {
 
   void del(int fd) override { ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr); }
 
-  int wait(IoEvent* out, int max_events, int timeout_ms) override {
+  int wait(IoEvent* out, int max_events, int64_t timeout_us) override {
     if (static_cast<int>(buf_.size()) < max_events) buf_.resize(max_events);
-    int n = ::epoll_wait(epfd_, buf_.data(), max_events, timeout_ms);
+    int n;
+    if (pwait2_) {
+      timespec ts = to_timespec(timeout_us);
+      n = ::epoll_pwait2(epfd_, buf_.data(), max_events, timeout_us < 0 ? nullptr : &ts,
+                         nullptr);
+      if (n < 0 && errno == ENOSYS) pwait2_ = false;  // pre-5.11 kernel
+    }
+    if (!pwait2_) {
+      // Millisecond fallback rounds up, so a timer never fires early.
+      int ms = timeout_us < 0 ? -1 : static_cast<int>(std::min<int64_t>((timeout_us + 999) / 1000, INT_MAX));
+      n = ::epoll_wait(epfd_, buf_.data(), max_events, ms);
+    }
     for (int i = 0; i < n; ++i) {
       out[i].tag = buf_[i].data.ptr;
       out[i].events = buf_[i].events;
@@ -118,6 +137,7 @@ class EpollIoDriver final : public IoDriver {
 
  private:
   int epfd_;
+  bool pwait2_ = true;
   std::vector<epoll_event> buf_;
 };
 
@@ -228,7 +248,7 @@ class UringIoDriver final : public IoDriver {
     regs_.erase(it);
   }
 
-  int wait(IoEvent* out, int max_events, int timeout_ms) override {
+  int wait(IoEvent* out, int max_events, int64_t timeout_us) override {
     if (!ok_) return -1;
     // Re-arm every registration whose oneshot poll has fired (or was never
     // armed). POLL_ADD checks the level-triggered condition on submit, so a
@@ -246,7 +266,7 @@ class UringIoDriver final : public IoDriver {
     if (!flush_sq()) return -1;
     int n = drain_cq(out, max_events);
     if (n > 0) return n;
-    int r = enter_wait(1, timeout_ms);
+    int r = enter_wait(1, timeout_us);
     if (r < 0 && r != -ETIME && r != -EINTR) return -1;
     return drain_cq(out, max_events);
   }
@@ -378,19 +398,19 @@ class UringIoDriver final : public IoDriver {
     return true;
   }
 
-  /// Waits for >= min_complete CQEs, up to timeout_ms (-1 = forever).
+  /// Waits for >= min_complete CQEs, up to timeout_us (-1 = forever).
   /// Returns 0/-errno.
-  int enter_wait(unsigned min_complete, int timeout_ms) {
+  int enter_wait(unsigned min_complete, int64_t timeout_us) {
     unsigned flags = IORING_ENTER_GETEVENTS;
     struct io_uring_getevents_arg arg;
     struct __kernel_timespec ts;
     const void* argp = nullptr;
     size_t argsz = 0;
-    if (timeout_ms >= 0) {
+    if (timeout_us >= 0) {
       std::memset(&arg, 0, sizeof(arg));
       std::memset(&ts, 0, sizeof(ts));
-      ts.tv_sec = timeout_ms / 1000;
-      ts.tv_nsec = static_cast<long long>(timeout_ms % 1000) * 1000000;
+      ts.tv_sec = timeout_us / 1'000'000;
+      ts.tv_nsec = static_cast<long long>(timeout_us % 1'000'000) * 1000;
       arg.ts = reinterpret_cast<uint64_t>(&ts);
       flags |= IORING_ENTER_EXT_ARG;
       argp = &arg;

@@ -58,10 +58,12 @@ class IoDriver {
   virtual bool mod(int fd, uint32_t events, void* tag) = 0;
   virtual void del(int fd) = 0;
 
-  /// Blocks up to `timeout_ms` (-1 = forever, 0 = poll) for readiness;
-  /// returns the number of events written to `out` (max `max_events`), 0 on
-  /// timeout, -1 on error. Level-triggered on both backends.
-  virtual int wait(IoEvent* out, int max_events, int timeout_ms) = 0;
+  /// Blocks up to `timeout_us` microseconds (-1 = forever, 0 = poll) for
+  /// readiness; returns the number of events written to `out` (max
+  /// `max_events`), 0 on timeout, -1 on error. Level-triggered on both
+  /// backends. Microseconds, not milliseconds: a reactor's sub-millisecond
+  /// timers (batch windows) must not round up to a whole tick.
+  virtual int wait(IoEvent* out, int max_events, int64_t timeout_us) = 0;
 
   /// Writes every iovec fully (resuming partial writes, chunking at IOV_MAX)
   /// then makes the data durable (fdatasync-equivalent). Mutates the iovecs

@@ -1,9 +1,13 @@
 // Focused tests for the log-bucketed histogram: edge quantiles (q=0 / q=1
 // exact min/max), record/merge round-trips, relative-error bounds at bucket
-// boundaries, and clear().
+// boundaries, clear(), and lazily allocated buckets matching the full-size
+// layout.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <random>
+#include <vector>
 
 #include "util/histogram.h"
 
@@ -129,6 +133,82 @@ TEST(Histogram, ClearResetsEverything) {
   h.record(77);
   EXPECT_EQ(h.count(), 1u);
   EXPECT_EQ(h.value_at(1.0), 77);
+}
+
+TEST(Histogram, BucketsGrowOnlyToHighestRecordedOctave) {
+  Histogram h;
+  EXPECT_EQ(h.allocated_buckets(), 0u);
+  h.record(10);
+  EXPECT_EQ(h.allocated_buckets(), 64u);  // octave 0 only
+  h.record(100);                          // octave 1
+  EXPECT_EQ(h.allocated_buckets(), 128u);
+  h.record(-5);  // clamps into bucket 0, no growth
+  EXPECT_EQ(h.allocated_buckets(), 128u);
+  Histogram big;
+  big.record(1'000'000);  // MSB 19 -> octave 14
+  EXPECT_EQ(big.allocated_buckets(), 15u * 64u);
+  h.merge(big);  // merge grows to the larger operand
+  EXPECT_EQ(h.allocated_buckets(), 15u * 64u);
+  h.clear();
+  EXPECT_EQ(h.count(), 0u);
+}
+
+// Property: a lazily sized histogram and a full-size one fed the same values
+// agree on every statistic, every quantile and every merge, over random
+// values spanning all octaves, negative values (clamped to bucket 0) and
+// values in the top bucket.
+TEST(Histogram, LazyMatchesFullSizeOnRandomValues) {
+  std::mt19937_64 rng(20141013);
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  auto draw = [&rng]() -> int64_t {
+    switch (rng() % 6) {
+      case 0: return static_cast<int64_t>(rng() % 64);           // exact range
+      case 1: return -static_cast<int64_t>(rng() % 1000) - 1;    // clamped low
+      case 2: return kMax - static_cast<int64_t>(rng() % 1024);  // top bucket
+      case 3: return static_cast<int64_t>(rng() % 100'000);
+      default: {
+        int shift = static_cast<int>(rng() % 63);  // log-uniform magnitude
+        return static_cast<int64_t>(rng() >> (1 + shift));
+      }
+    }
+  };
+  const std::vector<double> qs = {0.0, 0.001, 0.01, 0.1, 0.25, 0.5,
+                                  0.75, 0.9, 0.99, 0.999, 1.0};
+  auto expect_same = [&qs](const Histogram& a, const Histogram& b, int trial) {
+    ASSERT_EQ(a.count(), b.count()) << "trial " << trial;
+    EXPECT_EQ(a.min(), b.min()) << "trial " << trial;
+    EXPECT_EQ(a.max(), b.max()) << "trial " << trial;
+    EXPECT_EQ(a.sum(), b.sum()) << "trial " << trial;
+    for (double q : qs) EXPECT_EQ(a.value_at(q), b.value_at(q)) << "trial " << trial << " q=" << q;
+  };
+
+  for (int trial = 0; trial < 200; ++trial) {
+    // Narrow trials stay in low octaves, so lazy buckets really are short.
+    bool narrow = trial % 2 == 0;
+    size_t n = 1 + rng() % 300;
+    Histogram lazy_a, full_a, lazy_b, full_b;
+    full_a.allocate_all_buckets();
+    full_b.allocate_all_buckets();
+    for (size_t i = 0; i < n; ++i) {
+      int64_t v = narrow ? static_cast<int64_t>(rng() % 5000) : draw();
+      lazy_a.record(v);
+      full_a.record(v);
+      int64_t w = narrow ? static_cast<int64_t>(rng() % 50) : draw();
+      lazy_b.record(w);
+      full_b.record(w);
+    }
+    expect_same(lazy_a, full_a, trial);
+    expect_same(lazy_b, full_b, trial);
+
+    Histogram lazy_ab = lazy_a, full_ab = full_a, mixed_ab = lazy_a, mixed_ba = lazy_b;
+    lazy_ab.merge(lazy_b);
+    full_ab.merge(full_b);
+    mixed_ab.merge(full_b);  // lazy grows to the full operand
+    mixed_ba.merge(full_a);
+    expect_same(lazy_ab, full_ab, trial);
+    expect_same(mixed_ab, full_ab, trial);
+    expect_same(mixed_ba, full_ab, trial);
+  }
 }
 
 }  // namespace

@@ -146,10 +146,10 @@ TEST(Kv, FollowersHoldOnlyShares) {
     ASSERT_NE(rec, nullptr) << "server " << s;
     if (s == leader) {
       EXPECT_TRUE(rec->complete);
-      EXPECT_EQ(rec->data.size(), 3000u);
+      EXPECT_EQ(rec->data().size(), 3000u);
     } else {
       EXPECT_FALSE(rec->complete);
-      EXPECT_EQ(rec->data.size(), 1000u);  // X=3
+      EXPECT_EQ(rec->data().size(), 1000u);  // X=3
       EXPECT_EQ(rec->full_len, 3000u);
     }
   }
@@ -460,7 +460,7 @@ TEST(Kv, PaxosModeClusterWorksIdentically) {
     const auto* rec = f.cluster.server(s, 0)->store().find("p");
     if (rec == nullptr) continue;
     if (s != leader) {
-      EXPECT_EQ(rec->data.size(), 7u);
+      EXPECT_EQ(rec->data().size(), 7u);
     }
   }
 }

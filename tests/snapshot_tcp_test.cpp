@@ -205,10 +205,13 @@ TEST(SnapshotTcp, LateReplicaConvergesViaInstallSnapshot) {
     EXPECT_EQ(got.value(), value_for(i));
   }
 
-  // Transport first (joins all I/O threads), then servers/WALs are safe to free.
-  transport.reset();
+  // Stop every reactor first; servers are then safe to free. The WALs go
+  // before the transport: a late append completion posts onto its endpoint,
+  // which a stopped loop drops only while the endpoint still exists.
+  transport->shutdown();
   servers.clear();
   wals.clear();
+  transport.reset();
   snaps.clear();
   std::filesystem::remove_all(dir);
 }

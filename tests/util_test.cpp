@@ -266,7 +266,8 @@ TEST(Logging, LevelFiltersBelowThreshold) {
 }
 
 TEST(EventLoop, RunsPostedTasks) {
-  EventLoop loop;
+  LoopThread runner;
+  EventLoop& loop = runner.loop();
   std::atomic<int> n{0};
   for (int i = 0; i < 100; ++i) loop.post([&n] { n++; });
   loop.drain();
@@ -274,7 +275,8 @@ TEST(EventLoop, RunsPostedTasks) {
 }
 
 TEST(EventLoop, TasksRunInOrder) {
-  EventLoop loop;
+  LoopThread runner;
+  EventLoop& loop = runner.loop();
   std::vector<int> order;
   for (int i = 0; i < 50; ++i) loop.post([&order, i] { order.push_back(i); });
   loop.drain();
@@ -283,7 +285,8 @@ TEST(EventLoop, TasksRunInOrder) {
 }
 
 TEST(EventLoop, TimersFire) {
-  EventLoop loop;
+  LoopThread runner;
+  EventLoop& loop = runner.loop();
   std::promise<void> fired;
   auto t0 = std::chrono::steady_clock::now();
   loop.schedule(5000, [&fired] { fired.set_value(); });
@@ -295,7 +298,8 @@ TEST(EventLoop, TimersFire) {
 }
 
 TEST(EventLoop, CancelledTimerDoesNotFire) {
-  EventLoop loop;
+  LoopThread runner;
+  EventLoop& loop = runner.loop();
   std::atomic<bool> fired{false};
   auto id = loop.schedule(20000, [&fired] { fired = true; });
   EXPECT_TRUE(loop.cancel(id));
@@ -305,7 +309,8 @@ TEST(EventLoop, CancelledTimerDoesNotFire) {
 }
 
 TEST(EventLoop, PostFromManyThreads) {
-  EventLoop loop;
+  LoopThread runner;
+  EventLoop& loop = runner.loop();
   std::atomic<int> n{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {

@@ -162,7 +162,7 @@ TEST(ViewChangeE2E, WritesUseNewCodingAfterSwitch) {
     const auto* rec = f.cluster.server(s, 0)->store().find("post");
     ASSERT_NE(rec, nullptr);
     // X=1: followers now hold full copies.
-    EXPECT_EQ(rec->data.size(), 3000u) << "server " << s;
+    EXPECT_EQ(rec->data().size(), 3000u) << "server " << s;
   }
 }
 
