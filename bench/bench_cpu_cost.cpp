@@ -5,14 +5,14 @@
 #include <chrono>
 #include <cstdio>
 
-#include "ec/rs_code.h"
+#include "ec/policy.h"
 #include "util/rng.h"
 
 using namespace rspaxos;
 
 namespace {
 
-double mb_per_s_encode(const ec::RsCode& code, size_t value_size, int iters) {
+double mb_per_s_encode(const ec::EcPolicy& code, size_t value_size, int iters) {
   Rng rng(1);
   Bytes value(value_size);
   rng.fill(value.data(), value.size());
@@ -27,7 +27,7 @@ double mb_per_s_encode(const ec::RsCode& code, size_t value_size, int iters) {
   return static_cast<double>(value_size) * iters / dt / 1e6;
 }
 
-double mb_per_s_decode(const ec::RsCode& code, size_t value_size, int iters,
+double mb_per_s_decode(const ec::EcPolicy& code, size_t value_size, int iters,
                        bool worst_case) {
   Rng rng(2);
   Bytes value(value_size);
@@ -36,11 +36,11 @@ double mb_per_s_decode(const ec::RsCode& code, size_t value_size, int iters,
   std::map<int, Bytes> input;
   if (worst_case) {
     // All-parity reconstruction: full matrix inversion path.
-    for (int i = code.n() - code.m(); i < code.n(); ++i) {
+    for (int i = code.n() - code.x(); i < code.n(); ++i) {
       input.emplace(i, shares[static_cast<size_t>(i)]);
     }
   } else {
-    for (int i = 0; i < code.m(); ++i) input.emplace(i, shares[static_cast<size_t>(i)]);
+    for (int i = 0; i < code.x(); ++i) input.emplace(i, shares[static_cast<size_t>(i)]);
   }
   auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < iters; ++i) {
@@ -61,7 +61,7 @@ int main() {
     int m, n;
   };
   for (Cfg c : {Cfg{3, 5}, Cfg{2, 4}, Cfg{3, 7}, Cfg{5, 7}}) {
-    const ec::RsCode& code = ec::RsCodeCache::get(c.m, c.n);
+    const ec::EcPolicy& code = ec::PolicyCache::get(ec::CodeId::kRs, c.m, c.n);
     for (size_t size : {64u << 10, 1u << 20, 16u << 20}) {
       int iters = size >= (16u << 20) ? 8 : 64;
       double enc = mb_per_s_encode(code, size, iters);
@@ -76,7 +76,7 @@ int main() {
                   enc, dec_sys, dec_par);
     }
   }
-  const ec::RsCode& paper = ec::RsCodeCache::get(3, 5);
+  const ec::EcPolicy& paper = ec::PolicyCache::get(ec::CodeId::kRs, 3, 5);
   double enc = mb_per_s_encode(paper, 1u << 20, 64);
   std::printf("\npaper check (§6.2.3): \"even with the maximum throughput, the amount\n"
               "of data the system needs to encode is less than 50MB\" per second.\n"

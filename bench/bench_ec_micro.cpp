@@ -1,12 +1,13 @@
 // Kernel microbenchmarks (google-benchmark): GF(2^8) region ops and
-// Reed-Solomon encode/decode across θ configurations and sizes — the
-// substrate the §6.2.3 CPU argument rests on.
+// erasure-code encode/decode across θ configurations, sizes and codes — the
+// substrate the §6.2.3 CPU argument rests on. Every code runs through the
+// one EcPolicy implementation (ec/policy.h).
 //
 // Region ops and encode are benchmarked per dispatch tier (scalar reference
 // vs the best SIMD tier the host supports) via gf::force_tier. After the
-// google-benchmark suites, main() runs a chrono-timed scalar-vs-dispatched
-// encode sweep over (m, n, value size) and writes BENCH_ec.json with MB/s
-// and speedup per configuration.
+// google-benchmark suites, main() runs a chrono-timed sweep over (code, x, n,
+// value size) — encode MB/s per tier and parity-only decode MB/s — and
+// writes BENCH_ec.json, stamped with the host and the git revision.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -14,14 +15,17 @@
 #include <string>
 #include <vector>
 
+#include "common.h"
 #include "ec/cpu_features.h"
 #include "ec/gf256.h"
-#include "ec/rs_code.h"
+#include "ec/policy.h"
 #include "util/rng.h"
 
 namespace {
 
 using namespace rspaxos;
+
+const ec::EcPolicy& rs(int x, int n) { return ec::PolicyCache::get(ec::CodeId::kRs, x, n); }
 
 /// Forces a dispatch tier for one benchmark run; restores on destruction.
 class TierScope {
@@ -91,7 +95,7 @@ void rs_encode_tiered(benchmark::State& state, cpu::GfTier tier) {
   int m = static_cast<int>(state.range(0));
   int n = static_cast<int>(state.range(1));
   size_t size = static_cast<size_t>(state.range(2));
-  const ec::RsCode& code = ec::RsCodeCache::get(m, n);
+  const ec::EcPolicy& code = rs(m, n);
   Rng rng(3);
   Bytes value(size);
   rng.fill(value.data(), size);
@@ -125,7 +129,7 @@ void BM_RsEncodeInto(benchmark::State& state) {
   int m = static_cast<int>(state.range(0));
   int n = static_cast<int>(state.range(1));
   size_t size = static_cast<size_t>(state.range(2));
-  const ec::RsCode& code = ec::RsCodeCache::get(m, n);
+  const ec::EcPolicy& code = rs(m, n);
   Rng rng(6);
   Bytes value(size);
   rng.fill(value.data(), size);
@@ -143,7 +147,7 @@ void BM_RsEncodeInto(benchmark::State& state) {
 BENCHMARK(BM_RsEncodeInto)->Args({3, 5, 64 << 10})->Args({3, 5, 1 << 20});
 
 void BM_RsEncodeSingleShare(benchmark::State& state) {
-  const ec::RsCode& code = ec::RsCodeCache::get(3, 5);
+  const ec::EcPolicy& code = rs(3, 5);
   Rng rng(4);
   Bytes value(1 << 20);
   rng.fill(value.data(), value.size());
@@ -161,7 +165,7 @@ void BM_RsDecode(benchmark::State& state) {
   int n = static_cast<int>(state.range(1));
   size_t size = static_cast<size_t>(state.range(2));
   int mode = static_cast<int>(state.range(3));  // 0 systematic, 1 parity, 2 mixed
-  const ec::RsCode& code = ec::RsCodeCache::get(m, n);
+  const ec::EcPolicy& code = rs(m, n);
   Rng rng(5);
   Bytes value(size);
   rng.fill(value.data(), size);
@@ -185,72 +189,128 @@ void BM_RsDecode(benchmark::State& state) {
                           static_cast<int64_t>(size));
 }
 BENCHMARK(BM_RsDecode)
+    ->Args({3, 5, 4 << 10, 0})   // small values: selection overhead dominates
+    ->Args({3, 5, 4 << 10, 1})
+    ->Args({3, 5, 4 << 10, 2})
+    ->Args({3, 5, 64 << 10, 1})
     ->Args({3, 5, 1 << 20, 0})   // systematic fast path
     ->Args({3, 5, 1 << 20, 1})   // full reconstruction
     ->Args({3, 5, 1 << 20, 2})   // mixed: 2 systematic + 1 parity
     ->Args({5, 7, 1 << 20, 1});
 
-void BM_RsCodecConstruction(benchmark::State& state) {
+void BM_PolicyEncode(benchmark::State& state) {
+  // One kernel for every code: lrc and hh go through the same blocked
+  // encode_into as rs (hh at twice the sub-stripes of half the size).
+  const auto code = static_cast<ec::CodeId>(state.range(0));
+  int x = static_cast<int>(state.range(1));
+  int n = static_cast<int>(state.range(2));
+  size_t size = static_cast<size_t>(state.range(3));
+  const ec::EcPolicy& p = ec::PolicyCache::get(code, x, n);
+  state.SetLabel(ec::to_string(code));
+  Rng rng(8);
+  Bytes value(size);
+  rng.fill(value.data(), size);
+  std::vector<Bytes> bufs(static_cast<size_t>(n), Bytes(p.share_size(size)));
+  std::vector<uint8_t*> dsts;
+  for (auto& b : bufs) dsts.push_back(b.data());
   for (auto _ : state) {
-    auto code = ec::RsCode::create(10, 14);
+    p.encode_into(value, dsts.data());
+    benchmark::DoNotOptimize(dsts.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(size));
+}
+BENCHMARK(BM_PolicyEncode)
+    ->Args({static_cast<int>(ec::CodeId::kLrc), 4, 10, 1 << 20})
+    ->Args({static_cast<int>(ec::CodeId::kHh), 4, 10, 1 << 20})
+    ->Args({static_cast<int>(ec::CodeId::kRs), 4, 10, 1 << 20});
+
+void BM_RsPolicyConstruction(benchmark::State& state) {
+  for (auto _ : state) {
+    auto code = ec::make_rs_policy(10, 14);
     benchmark::DoNotOptimize(code);
   }
 }
-BENCHMARK(BM_RsCodecConstruction);
+BENCHMARK(BM_RsPolicyConstruction);
 
 // --- BENCH_ec.json sweep ------------------------------------------------
 
 struct SweepRow {
-  int m, n;
+  ec::CodeId code;
+  int x, n;
   size_t value_bytes;
-  double scalar_mbps = 0, simd_mbps = 0;
+  double scalar_mbps = 0, simd_mbps = 0, decode_mbps = 0;
 };
 
-/// MB/s of encode_into under the given tier, timed over >= 50 ms of work.
-double measure_encode_mbps(const ec::RsCode& code, const Bytes& value,
-                           cpu::GfTier tier) {
-  TierScope scope(tier);
-  if (!scope.ok()) return 0;
-  size_t ss = code.share_size(value.size());
-  std::vector<Bytes> bufs(static_cast<size_t>(code.n()), Bytes(ss));
-  std::vector<uint8_t*> dsts;
-  for (auto& b : bufs) dsts.push_back(b.data());
+/// Calls `op` until >= 50 ms of work has run; returns MB/s of `bytes` per call.
+template <typename Op>
+double measure_mbps(size_t bytes, Op op) {
   using clock = std::chrono::steady_clock;
-  code.encode_into(value, dsts.data());  // warm tables + cache
+  op();  // warm tables + cache
   uint64_t iters = 0;
   auto start = clock::now();
   double elapsed = 0;
   do {
-    code.encode_into(value, dsts.data());
+    op();
     ++iters;
     elapsed = std::chrono::duration<double>(clock::now() - start).count();
   } while (elapsed < 0.05);
-  double bytes = static_cast<double>(iters) * static_cast<double>(value.size());
-  return bytes / elapsed / 1e6;
+  return static_cast<double>(iters) * static_cast<double>(bytes) / elapsed / 1e6;
+}
+
+/// MB/s of encode_into under the given tier.
+double measure_encode_mbps(const ec::EcPolicy& p, const Bytes& value, cpu::GfTier tier) {
+  TierScope scope(tier);
+  if (!scope.ok()) return 0;
+  std::vector<Bytes> bufs(static_cast<size_t>(p.n()), Bytes(p.share_size(value.size())));
+  std::vector<uint8_t*> dsts;
+  for (auto& b : bufs) dsts.push_back(b.data());
+  return measure_mbps(value.size(), [&] { p.encode_into(value, dsts.data()); });
+}
+
+/// MB/s of decode under the dispatched tier from the fewest highest-index
+/// shares that decode (parity first: the full solve path); 0 if it fails.
+double measure_decode_mbps(const ec::EcPolicy& p, const Bytes& value) {
+  const std::vector<Bytes> shares = p.encode(value);
+  std::map<int, Bytes> input;
+  std::vector<int> have;
+  for (int i = p.n() - 1; i >= 0 && !p.decodable(have); --i) {
+    input.emplace(i, shares[static_cast<size_t>(i)]);
+    have.push_back(i);
+  }
+  if (!p.decode(input, value.size()).is_ok()) return 0;
+  return measure_mbps(value.size(), [&] {
+    auto out = p.decode(input, value.size());
+    benchmark::DoNotOptimize(out);
+  });
 }
 
 void run_json_sweep() {
-  const struct { int m, n; } thetas[] = {{3, 5}, {2, 4}, {5, 7}, {10, 14}};
+  const struct { int x, n; } thetas[] = {{3, 5}, {2, 4}, {5, 7}, {10, 14}};
   const size_t sizes[] = {64 << 10, 1 << 20};
   cpu::GfTier best = cpu::best_supported_tier();
   std::vector<SweepRow> rows;
   Rng rng(7);
-  std::printf("\n--- encode throughput sweep (scalar vs %s) ---\n",
+  std::printf("\n--- encode/decode throughput sweep (scalar vs %s) ---\n",
               cpu::tier_name(best));
-  std::printf("%8s %12s %14s %14s %9s\n", "theta", "value", "scalar MB/s",
-              "simd MB/s", "speedup");
-  for (auto t : thetas) {
-    const ec::RsCode& code = ec::RsCodeCache::get(t.m, t.n);
-    for (size_t size : sizes) {
-      Bytes value(size);
-      rng.fill(value.data(), size);
-      SweepRow row{t.m, t.n, size};
-      row.scalar_mbps = measure_encode_mbps(code, value, cpu::GfTier::kScalar);
-      row.simd_mbps = measure_encode_mbps(code, value, best);
-      rows.push_back(row);
-      std::printf("θ(%d,%2d) %11zuB %14.0f %14.0f %8.2fx\n", t.m, t.n, size,
-                  row.scalar_mbps, row.simd_mbps,
-                  row.scalar_mbps > 0 ? row.simd_mbps / row.scalar_mbps : 0.0);
+  std::printf("%5s %8s %12s %14s %14s %9s %14s\n", "code", "theta", "value", "scalar MB/s",
+              "simd MB/s", "speedup", "decode MB/s");
+  for (ec::CodeId code : {ec::CodeId::kRs, ec::CodeId::kLrc, ec::CodeId::kHh}) {
+    for (auto t : thetas) {
+      const ec::EcPolicy& p = ec::PolicyCache::get(code, t.x, t.n);
+      for (size_t size : sizes) {
+        Bytes value(size);
+        rng.fill(value.data(), size);
+        SweepRow row{code, t.x, t.n, size};
+        row.scalar_mbps = measure_encode_mbps(p, value, cpu::GfTier::kScalar);
+        row.simd_mbps = measure_encode_mbps(p, value, best);
+        row.decode_mbps = measure_decode_mbps(p, value);
+        rows.push_back(row);
+        std::printf("%5s θ(%d,%2d) %11zuB %14.0f %14.0f %8.2fx %14.0f\n",
+                    ec::to_string(code), t.x, t.n, size, row.scalar_mbps, row.simd_mbps,
+                    row.scalar_mbps > 0 ? row.simd_mbps / row.scalar_mbps : 0.0,
+                    row.decode_mbps);
+      }
     }
   }
   std::FILE* f = std::fopen("BENCH_ec.json", "w");
@@ -258,16 +318,22 @@ void run_json_sweep() {
     std::fprintf(stderr, "cannot write BENCH_ec.json\n");
     return;
   }
-  std::fprintf(f, "{\n  \"simd_tier\": \"%s\",\n  \"encode\": [\n",
+  std::fprintf(f,
+               "{\n  \"benchmark\": \"ec_micro\", %s, \"git_commit\": \"%s\",\n"
+               "  \"simd_tier\": \"%s\",\n"
+               "  \"note\": \"single-thread encode_into MB/s per GF tier and parity-first "
+               "decode MB/s (dispatched tier) from the fewest highest-index shares that "
+               "decode, 50 ms per cell, one run\",\n  \"encode\": [\n",
+               bench::bench_meta_json(1).c_str(), bench::bench_git_commit().c_str(),
                cpu::tier_name(best));
   for (size_t i = 0; i < rows.size(); ++i) {
     const SweepRow& r = rows[i];
     std::fprintf(f,
-                 "    {\"m\": %d, \"n\": %d, \"value_bytes\": %zu, "
+                 "    {\"code\": \"%s\", \"x\": %d, \"n\": %d, \"value_bytes\": %zu, "
                  "\"scalar_mbps\": %.1f, \"simd_mbps\": %.1f, "
-                 "\"speedup\": %.2f}%s\n",
-                 r.m, r.n, r.value_bytes, r.scalar_mbps, r.simd_mbps,
-                 r.scalar_mbps > 0 ? r.simd_mbps / r.scalar_mbps : 0.0,
+                 "\"speedup\": %.2f, \"decode_mbps\": %.1f}%s\n",
+                 ec::to_string(r.code), r.x, r.n, r.value_bytes, r.scalar_mbps, r.simd_mbps,
+                 r.scalar_mbps > 0 ? r.simd_mbps / r.scalar_mbps : 0.0, r.decode_mbps,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

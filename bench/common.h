@@ -57,6 +57,20 @@ inline std::string bench_meta_json(int reactors) {
          util::io_backend_name() + "\"";
 }
 
+/// The source revision a bench JSON was recorded at: `git describe --always
+/// --dirty` of the working directory (run benches from the repo root), or
+/// "unknown" outside a git checkout.
+inline std::string bench_git_commit() {
+  std::string out;
+  if (std::FILE* p = ::popen("git describe --always --dirty 2>/dev/null", "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), p) != nullptr) out += buf;
+    ::pclose(p);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) out.pop_back();
+  return out.empty() ? "unknown" : out;
+}
+
 /// Replica timing used by all benchmarks (scaled for WAN round trips).
 inline consensus::ReplicaOptions bench_replica_options(bool wan) {
   consensus::ReplicaOptions o;

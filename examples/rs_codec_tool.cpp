@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "ec/rs_code.h"
+#include "ec/policy.h"
 #include "util/crc32.h"
 
 using namespace rspaxos;
@@ -56,7 +56,8 @@ int main(int argc, char** argv) {
   if (mode == "split" && argc == 6) {
     int m = std::atoi(argv[2]);
     int n = std::atoi(argv[3]);
-    auto code = ec::RsCode::create(m, n);
+    auto code = ec::PolicyCache::get_checked(static_cast<uint8_t>(ec::CodeId::kRs),
+                                             static_cast<uint64_t>(m), static_cast<uint64_t>(n));
     if (!code.is_ok()) {
       std::fprintf(stderr, "bad theta(%d, %d): %s\n", m, n,
                    code.status().to_string().c_str());
@@ -67,7 +68,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot read %s\n", argv[4]);
       return 1;
     }
-    auto shares = code.value().encode(input);
+    auto shares = code.value()->encode(input);
     for (int i = 0; i < n; ++i) {
       std::string path = std::string(argv[5]) + "." + std::to_string(i);
       if (!write_file(path, shares[static_cast<size_t>(i)])) {
@@ -76,7 +77,7 @@ int main(int argc, char** argv) {
       }
     }
     std::printf("split %zu bytes into %d shares of %zu bytes (any %d reconstruct)\n",
-                input.size(), n, code.value().share_size(input.size()), m);
+                input.size(), n, code.value()->share_size(input.size()), m);
     std::printf("original size: %zu   crc32c: %08x\n", input.size(), crc32c(input));
     return 0;
   }
@@ -85,7 +86,8 @@ int main(int argc, char** argv) {
     int m = std::atoi(argv[2]);
     int n = std::atoi(argv[3]);
     size_t size = static_cast<size_t>(std::atoll(argv[4]));
-    auto code = ec::RsCode::create(m, n);
+    auto code = ec::PolicyCache::get_checked(static_cast<uint8_t>(ec::CodeId::kRs),
+                                             static_cast<uint64_t>(m), static_cast<uint64_t>(n));
     if (!code.is_ok()) {
       std::fprintf(stderr, "bad theta(%d, %d)\n", m, n);
       return 1;
@@ -106,7 +108,7 @@ int main(int argc, char** argv) {
       }
       shares.emplace(idx, std::move(data));
     }
-    auto out = code.value().decode(shares, size);
+    auto out = code.value()->decode(shares, size);
     if (!out.is_ok()) {
       std::fprintf(stderr, "decode failed: %s\n", out.status().to_string().c_str());
       return 1;

@@ -12,7 +12,6 @@
 #include <optional>
 
 #include "consensus/msg.h"
-#include "ec/rs_code.h"
 #include "net/transport.h"
 #include "storage/wal.h"
 

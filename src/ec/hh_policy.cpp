@@ -17,7 +17,6 @@
 #include <algorithm>
 
 #include "ec/policy.h"
-#include "ec/rs_code.h"
 
 namespace rspaxos::ec {
 namespace {
@@ -107,10 +106,10 @@ StatusOr<std::unique_ptr<EcPolicy>> make_hh_policy(int x, int n) {
     return Status::invalid("HhPolicy requires n - x >= 2 (a clean parity plus piggybacked ones)");
   }
   if (n > kMaxHhN) return Status::invalid("HhPolicy caps n at 16");
-  auto rs = RsCode::create(x, n);
+  auto rs = rs_generator(x, n);
   if (!rs.is_ok()) return rs.status();
   std::vector<int> piggy_of = make_piggy_groups(x, n - x);
-  Matrix gen = make_generator(x, n, rs.value().encoding_matrix(), piggy_of);
+  Matrix gen = make_generator(x, n, rs.value(), piggy_of);
   int asd = brute_force_any_subset_decodable(gen, n, /*s=*/2);
   return std::unique_ptr<EcPolicy>(new HhPolicy(x, n, asd, std::move(gen), std::move(piggy_of)));
 }

@@ -13,7 +13,6 @@
 #include <algorithm>
 
 #include "ec/policy.h"
-#include "ec/rs_code.h"
 
 namespace rspaxos::ec {
 namespace {
@@ -123,9 +122,9 @@ StatusOr<std::unique_ptr<EcPolicy>> make_lrc_policy(int x, int n) {
   }
   if (n > kMaxLrcN) return Status::invalid("LrcPolicy caps n at 16");
   LrcGeometry geo = make_geometry(x, n);
-  auto rs = RsCode::create(x, x + geo.g);
+  auto rs = rs_generator(x, x + geo.g);
   if (!rs.is_ok()) return rs.status();
-  Matrix gen = make_generator(x, n, geo, rs.value().encoding_matrix());
+  Matrix gen = make_generator(x, n, geo, rs.value());
   int asd = brute_force_any_subset_decodable(gen, n, /*s=*/1);
   return std::unique_ptr<EcPolicy>(new LrcPolicy(x, n, asd, std::move(gen), std::move(geo)));
 }

@@ -3,18 +3,62 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <tuple>
 
 #include "ec/gf256.h"
+#include "obs/metrics.h"
 
 namespace rspaxos::ec {
 namespace {
 
-/// Column-block width for the accumulate kernels (same budget as RsCode:
-/// one block of every live sub-share stays cache-resident per sweep).
+/// Column-block width for the accumulate kernels. Chosen so one block of
+/// every live sub-share (n blocks, n <= 14 in practice) stays resident in
+/// L1/L2 while the inner loops sweep the coefficient tile.
 constexpr size_t kCodeBlock = 16 * 1024;
+
+/// Codec cost metrics (the paper's CPU-cost dimension, §6.5), shared by
+/// every policy. Label-less: encode/decode cost is a property of the
+/// process, not of a node id.
+struct EcMetrics {
+  obs::Counter* encode_ops;
+  obs::Counter* encode_bytes;
+  obs::HistogramMetric* encode_us;
+  obs::Gauge* encode_mbps;
+  obs::Gauge* kernel_tier;
+  obs::Counter* decode_ops;
+  obs::Counter* decode_bytes;
+  obs::HistogramMetric* decode_us;
+
+  static EcMetrics& get() {
+    static EcMetrics* m = [] {
+      auto& reg = obs::MetricsRegistry::global();
+      auto* e = new EcMetrics();
+      e->encode_ops =
+          &reg.counter("rsp_ec_encode_total", "Erasure encode calls (full or one-share)");
+      e->encode_bytes = &reg.counter("rsp_ec_encode_bytes", "Input bytes erasure-encoded");
+      e->encode_us = &reg.histogram("rsp_ec_encode_us", "Erasure encode latency");
+      e->encode_mbps =
+          &reg.gauge("rsp_ec_encode_mbps", "Most recent full-encode throughput (MB/s)");
+      e->kernel_tier = &reg.gauge(
+          "rsp_ec_kernel_tier", "Active GF(2^8) kernel tier (0=scalar,1=ssse3,2=avx2,3=neon)");
+      e->decode_ops = &reg.counter("rsp_ec_decode_total", "Erasure decode calls");
+      e->decode_bytes = &reg.counter("rsp_ec_decode_bytes", "Output bytes erasure-decoded");
+      e->decode_us = &reg.histogram("rsp_ec_decode_us", "Erasure decode latency");
+      e->kernel_tier->set(static_cast<int64_t>(gf::active_tier()));
+      return e;
+    }();
+    return *m;
+  }
+};
+
+int64_t elapsed_us(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
 
 /// Incremental row-echelon workspace over GF(2^8): add() keeps a row only if
 /// it is linearly independent of the rows already kept. Rows are stored
@@ -140,6 +184,22 @@ EcPolicy::EcPolicy(int x, int n, int s, int asd, Matrix gen)
     : x_(x), n_(n), s_(s), asd_(asd), gen_(std::move(gen)) {
   assert(gen_.rows() == static_cast<size_t>(n_) * static_cast<size_t>(s_));
   assert(gen_.cols() == static_cast<size_t>(x_) * static_cast<size_t>(s_));
+  const size_t d = gen_.cols();
+  unit_.resize(gen_.rows());
+  first_nz_.resize(gen_.rows());
+  carrier_.assign(d, -1);
+  for (size_t rid = 0; rid < gen_.rows(); ++rid) {
+    const uint8_t* row = gen_.row(rid);
+    unit_[rid] = unit_var(row, d);
+    size_t f = 0;
+    while (f < d && row[f] == 0) ++f;
+    first_nz_[rid] = f;
+    if (unit_[rid] >= 0 && carrier_[static_cast<size_t>(unit_[rid])] < 0) {
+      carrier_[static_cast<size_t>(unit_[rid])] = static_cast<int>(rid);
+    }
+  }
+  // Systematic: every variable is some share's verbatim sub-block.
+  assert(std::find(carrier_.begin(), carrier_.end(), -1) == carrier_.end());
 }
 
 EcPolicy::~EcPolicy() = default;
@@ -160,69 +220,69 @@ std::vector<Bytes> EcPolicy::encode(BytesView value) const {
 }
 
 void EcPolicy::encode_into(BytesView value, uint8_t* const* dsts) const {
+  EcMetrics& em = EcMetrics::get();
+  auto start = std::chrono::steady_clock::now();
+  encode_kernel(value, dsts);
+  em.encode_ops->inc();
+  em.encode_bytes->inc(value.size());
+  int64_t us = elapsed_us(start);
+  em.encode_us->observe(us);
+  // bytes per microsecond == MB/s; only meaningful when the clock moved.
+  if (us > 0) em.encode_mbps->set(static_cast<int64_t>(value.size()) / us);
+}
+
+void EcPolicy::encode_kernel(BytesView value, uint8_t* const* dsts) const {
   const size_t sub = sub_size(value.size());
   if (sub == 0) return;
-  const size_t d = gen_.cols();
+  const size_t s = static_cast<size_t>(s_);
+  auto out = [&](size_t rid) { return dsts[rid / s] + (rid % s) * sub; };
+  // Variables [0, live) hold value bytes; the rest are all zero and never
+  // contribute.
+  const size_t live = (value.size() + sub - 1) / sub;
 
-  // Per-variable source regions: full sub-blocks point into the value, the
-  // (single) partial tail block is padded into scratch, all-zero blocks stay
-  // null and contribute nothing.
-  Bytes tail;
-  std::vector<const uint8_t*> src(d, nullptr);
-  for (size_t v = 0; v < d; ++v) {
-    const size_t off = v * sub;
-    if (off >= value.size()) break;
-    if (off + sub <= value.size()) {
-      src[v] = value.data() + off;
-    } else {
-      tail.assign(sub, 0);
-      std::memcpy(tail.data(), value.data() + off, value.size() - off);
-      src[v] = tail.data();
-    }
+  // Unit rows (every systematic sub-share, plus any pure-copy parity row)
+  // take their variable verbatim: copy and zero-pad it once into the output.
+  for (size_t rid = 0; rid < gen_.rows(); ++rid) {
+    if (unit_[rid] < 0) continue;
+    const size_t off = static_cast<size_t>(unit_[rid]) * sub;
+    const size_t len = off < value.size() ? std::min(sub, value.size() - off) : 0;
+    uint8_t* dst = out(rid);
+    if (len > 0) std::memcpy(dst, value.data() + off, len);
+    if (len < sub) std::memset(dst + len, 0, sub - len);
   }
-
-  // Unit rows (all systematic sub-shares, plus any pure-copy parity rows)
-  // are straight memcpys; the rest accumulate through the blocked kernel.
-  struct ComputedRow {
-    const uint8_t* coeffs;
-    uint8_t* dst;
-  };
-  std::vector<ComputedRow> computed;
-  for (int i = 0; i < n_; ++i) {
-    for (int j = 0; j < s_; ++j) {
-      const uint8_t* row =
-          gen_.row(static_cast<size_t>(i) * static_cast<size_t>(s_) + static_cast<size_t>(j));
-      uint8_t* dst = dsts[i] + static_cast<size_t>(j) * sub;
-      int u = unit_var(row, d);
-      if (u >= 0) {
-        if (src[static_cast<size_t>(u)] != nullptr) {
-          std::memcpy(dst, src[static_cast<size_t>(u)], sub);
-        } else {
-          std::memset(dst, 0, sub);
-        }
-      } else {
-        std::memset(dst, 0, sub);
-        computed.push_back({row, dst});
-      }
-    }
-  }
+  // Cache-blocked kernel: per column block, sweep each variable once while
+  // it is hot and fold it into every computed row. A row's first
+  // contributing variable writes with mul_region, so outputs are never
+  // zeroed up front; a row no live variable reaches is zeroed at the end.
   for (size_t off = 0; off < sub; off += kCodeBlock) {
     const size_t len = std::min(kCodeBlock, sub - off);
-    for (size_t v = 0; v < d; ++v) {
-      if (src[v] == nullptr) continue;
-      for (const ComputedRow& r : computed) {
-        if (r.coeffs[v] != 0) gf::mul_add_region(r.dst + off, src[v] + off, r.coeffs[v], len);
+    for (size_t v = 0; v < live; ++v) {
+      // The variable's first unit output is its source, so the value's
+      // partial tail block never needs a padded scratch copy.
+      const uint8_t* src = out(static_cast<size_t>(carrier_[v])) + off;
+      for (size_t rid = 0; rid < gen_.rows(); ++rid) {
+        const uint8_t c = gen_.row(rid)[v];
+        if (unit_[rid] >= 0 || c == 0) continue;
+        if (v == first_nz_[rid]) {
+          gf::mul_region(out(rid) + off, src, c, len);
+        } else {
+          gf::mul_add_region(out(rid) + off, src, c, len);
+        }
       }
     }
+  }
+  for (size_t rid = 0; rid < gen_.rows(); ++rid) {
+    if (unit_[rid] < 0 && first_nz_[rid] >= live) std::memset(out(rid), 0, sub);
   }
 }
 
 Bytes EcPolicy::encode_share(BytesView value, int index) const {
   assert(index >= 0 && index < n_);
+  EcMetrics& em = EcMetrics::get();
+  auto start = std::chrono::steady_clock::now();
   const size_t sub = sub_size(value.size());
   const size_t d = gen_.cols();
   Bytes out(static_cast<size_t>(s_) * sub, 0);
-  if (sub == 0) return out;
   Bytes block;  // padded variable block, materialized per use
   auto var_block = [&](size_t v) -> const uint8_t* {
     const size_t off = v * sub;
@@ -232,7 +292,7 @@ Bytes EcPolicy::encode_share(BytesView value, int index) const {
     std::memcpy(block.data(), value.data() + off, value.size() - off);
     return block.data();
   };
-  for (int j = 0; j < s_; ++j) {
+  for (int j = 0; j < s_ && sub > 0; ++j) {
     const uint8_t* row =
         gen_.row(static_cast<size_t>(index) * static_cast<size_t>(s_) + static_cast<size_t>(j));
     uint8_t* dst = out.data() + static_cast<size_t>(j) * sub;
@@ -242,6 +302,9 @@ Bytes EcPolicy::encode_share(BytesView value, int index) const {
       if (s != nullptr) gf::mul_add_region(dst, s, row[v], sub);
     }
   }
+  em.encode_ops->inc();
+  em.encode_bytes->inc(value.size());
+  em.encode_us->observe(elapsed_us(start));
   return out;
 }
 
@@ -261,15 +324,23 @@ bool EcPolicy::decodable(const std::vector<int>& have) const {
 
 StatusOr<Bytes> EcPolicy::decode(const std::map<int, Bytes>& shares,
                                  size_t value_len) const {
+  EcMetrics& em = EcMetrics::get();
+  auto start = std::chrono::steady_clock::now();
   const size_t sub = sub_size(value_len);
   const size_t ss = share_size(value_len);
   const size_t d = gen_.cols();
 
-  // Greedily collect D independent sub-rows, walking shares in index order so
-  // systematic sub-shares (straight copies) win over parity whenever present.
-  Elim basis(d);
+  // Collect D independent sub-rows, walking shares in index order so
+  // systematic sub-shares (straight copies) win over parity whenever
+  // present. For MDS codes the sub-rows of any x distinct shares are
+  // independent, so the first x shares are the basis and the rank pass is
+  // skipped; other codes keep a row only if it adds rank.
+  const bool mds = asd_ == x_;
+  Elim basis(mds ? 0 : d);
   std::vector<size_t> rows;              // generator row ids of kept sub-rows
   std::vector<const uint8_t*> inputs;    // matching sub-share data
+  rows.reserve(d);
+  inputs.reserve(d);
   for (const auto& [idx, data] : shares) {
     if (idx < 0 || idx >= n_) return Status::invalid("share index out of range");
     if (data.size() != ss) return Status::invalid("inconsistent share size");
@@ -277,7 +348,7 @@ StatusOr<Bytes> EcPolicy::decode(const std::map<int, Bytes>& shares,
       const size_t rid =
           static_cast<size_t>(idx) * static_cast<size_t>(s_) + static_cast<size_t>(j);
       const uint8_t* r = gen_.row(rid);
-      if (basis.add(std::vector<uint8_t>(r, r + d))) {
+      if (mds || basis.add(std::vector<uint8_t>(r, r + d))) {
         rows.push_back(rid);
         inputs.push_back(data.data() + static_cast<size_t>(j) * sub);
       }
@@ -294,7 +365,7 @@ StatusOr<Bytes> EcPolicy::decode(const std::map<int, Bytes>& shares,
   // variables pay the inversion + blocked multiply-accumulate.
   std::vector<bool> copied(d, false);
   for (size_t j = 0; j < rows.size(); ++j) {
-    int u = unit_var(gen_.row(rows[j]), d);
+    const int u = unit_[rows[j]];
     if (u >= 0 && !copied[static_cast<size_t>(u)]) {
       copied[static_cast<size_t>(u)] = true;
       if (sub > 0) std::memcpy(value.data() + static_cast<size_t>(u) * sub, inputs[j], sub);
@@ -325,10 +396,13 @@ StatusOr<Bytes> EcPolicy::decode(const std::map<int, Bytes>& shares,
   }
 
   value.resize(value_len);
+  em.decode_ops->inc();
+  em.decode_bytes->inc(value_len);
+  em.decode_us->observe(elapsed_us(start));
   return value;
 }
 
-bool EcPolicy::rows_feasible(const RepairPlan& plan, Matrix* rows) const {
+bool EcPolicy::rows_feasible(const RepairPlan& plan) const {
   const size_t d = gen_.cols();
   const int k = plan.sub_count();
   Matrix m(static_cast<size_t>(k), d);
@@ -345,20 +419,17 @@ bool EcPolicy::rows_feasible(const RepairPlan& plan, Matrix* rows) const {
       ++r;
     }
   }
-  Matrix targets;
-  if (plan.target >= 0) {
-    std::vector<size_t> trows(static_cast<size_t>(s_));
-    for (int j = 0; j < s_; ++j) {
-      trows[static_cast<size_t>(j)] =
-          static_cast<size_t>(plan.target) * static_cast<size_t>(s_) + static_cast<size_t>(j);
-    }
-    targets = gen_.select_rows(trows);
-  } else {
-    targets = Matrix::identity(d);
+  return solve_combination(m, target_rows(plan.target)).is_ok();
+}
+
+Matrix EcPolicy::target_rows(int target) const {
+  if (target == RepairPlan::kWholeValue) return Matrix::identity(gen_.cols());
+  std::vector<size_t> rows(static_cast<size_t>(s_));
+  for (int j = 0; j < s_; ++j) {
+    rows[static_cast<size_t>(j)] =
+        static_cast<size_t>(target) * static_cast<size_t>(s_) + static_cast<size_t>(j);
   }
-  if (!solve_combination(m, targets).is_ok()) return false;
-  if (rows != nullptr) *rows = std::move(m);
-  return true;
+  return gen_.select_rows(rows);
 }
 
 RepairPlan EcPolicy::plan_repair(int target, const std::vector<int>& live,
@@ -392,7 +463,7 @@ RepairPlan EcPolicy::plan_repair(int target, const std::vector<int>& live,
     greedy.target = target;
     for (int i : order) {
       greedy.fetches.push_back({i, full});
-      if (rows_feasible(greedy, nullptr)) {
+      if (rows_feasible(greedy)) {
         cands.push_back(greedy);
         break;
       }
@@ -414,7 +485,7 @@ RepairPlan EcPolicy::plan_repair(int target, const std::vector<int>& live,
       }
       c += static_cast<double>(std::popcount(f.sub_mask)) * cost_of(f.share_idx);
     }
-    if (!valid || !rows_feasible(p, nullptr)) continue;
+    if (!valid || !rows_feasible(p)) continue;
     if (best.fetches.empty() || c < best_cost ||
         (c == best_cost && p.sub_count() < best.sub_count())) {
       best = std::move(p);
@@ -460,17 +531,7 @@ StatusOr<Bytes> EcPolicy::run_repair(const RepairPlan& plan,
     }
   }
 
-  Matrix targets;
-  if (plan.target >= 0) {
-    std::vector<size_t> trows(static_cast<size_t>(s_));
-    for (int j = 0; j < s_; ++j) {
-      trows[static_cast<size_t>(j)] =
-          static_cast<size_t>(plan.target) * static_cast<size_t>(s_) + static_cast<size_t>(j);
-    }
-    targets = gen_.select_rows(trows);
-  } else {
-    targets = Matrix::identity(d);
-  }
+  const Matrix targets = target_rows(plan.target);
   auto comb = solve_combination(rows, targets);
   if (!comb.is_ok()) return comb.status();
   const Matrix& c = comb.value();
@@ -519,6 +580,39 @@ int brute_force_any_subset_decodable(const Matrix& gen, int n, int s) {
   return n;
 }
 
+namespace {
+
+/// θ(x, n) Reed-Solomon: MDS, so any x shares decode (asd == x).
+class RsPolicy final : public EcPolicy {
+ public:
+  RsPolicy(int x, int n, Matrix gen) : EcPolicy(x, n, /*s=*/1, /*asd=*/x, std::move(gen)) {}
+
+  CodeId id() const override { return CodeId::kRs; }
+};
+
+}  // namespace
+
+StatusOr<Matrix> rs_generator(int x, int n) {
+  if (x < 1 || n < x || n > 255) {
+    return Status::invalid("Reed-Solomon requires 1 <= x <= n <= 255");
+  }
+  // Right-multiplying the n x x extended Vandermonde V by inv(top x x x
+  // block) makes the top block the identity (systematic); any x rows stay
+  // invertible because they are products of invertible Vandermonde blocks.
+  Matrix v = Matrix::vandermonde(static_cast<size_t>(n), static_cast<size_t>(x));
+  std::vector<size_t> top(static_cast<size_t>(x));
+  for (int i = 0; i < x; ++i) top[static_cast<size_t>(i)] = static_cast<size_t>(i);
+  auto top_inv = v.select_rows(top).inverted();
+  if (!top_inv.is_ok()) return top_inv.status();
+  return v.times(top_inv.value());
+}
+
+StatusOr<std::unique_ptr<EcPolicy>> make_rs_policy(int x, int n) {
+  auto gen = rs_generator(x, n);
+  if (!gen.is_ok()) return gen.status();
+  return std::unique_ptr<EcPolicy>(new RsPolicy(x, n, std::move(gen).value()));
+}
+
 StatusOr<std::unique_ptr<EcPolicy>> make_policy(CodeId code, int x, int n) {
   switch (code) {
     case CodeId::kRs: return make_rs_policy(x, n);
@@ -542,8 +636,8 @@ StatusOr<const EcPolicy*> PolicyCache::get_checked(uint8_t code, uint64_t x,
     return Status::invalid("erasure-code params require 1 <= x <= n <= 255");
   }
   // Entries are heap-allocated once and never evicted, so returned pointers
-  // stay valid for the life of the process even as the map rehashes — the
-  // same immortality contract RsCodeCache relies on. The mutex makes lookup
+  // stay valid for the life of the process even as the map rehashes. The
+  // mutex makes lookup
   // safe from reactor threads and EcWorkerPool workers concurrently.
   static std::mutex mu;
   static auto* cache =

@@ -16,8 +16,11 @@
 //    which peers are live and an optional per-share relative cost;
 //  - run_repair() executes such a plan on the fetched bytes.
 //
+// The base class is the only encoder/decoder: concrete policies supply just
+// the generator geometry (and optionally repair candidates), so every code
+// shares one set of SIMD blocked kernels and one set of rsp_ec_* metrics.
 // Policies are immutable and thread-safe after construction; fetch them
-// through PolicyCache (entries are immortal, like RsCodeCache).
+// through PolicyCache (entries are immortal).
 #pragma once
 
 #include <map>
@@ -59,8 +62,7 @@ struct RepairPlan {
 /// A linear erasure-code policy. The base class implements the full
 /// generator-matrix machinery (encode, rank-based decode with a systematic
 /// fast path, repair planning and execution); concrete policies supply the
-/// matrix geometry and optionally override the byte paths with tuned kernels
-/// (RsPolicy delegates to the SIMD-blocked RsCode).
+/// matrix geometry and optionally policy-specific repair candidates.
 class EcPolicy {
  public:
   virtual ~EcPolicy();
@@ -80,8 +82,8 @@ class EcPolicy {
     size_t d = static_cast<size_t>(x_) * static_cast<size_t>(s_);
     return (value_len + d - 1) / d;
   }
-  /// Bytes of one share: s * sub_size. For s == 1 this matches
-  /// RsCode::share_size exactly (wire compatibility for rs).
+  /// Bytes of one share: s * sub_size. For s == 1 this is ceil(len / x),
+  /// the rs wire share size.
   size_t share_size(size_t value_len) const {
     return static_cast<size_t>(s_) * sub_size(value_len);
   }
@@ -96,14 +98,19 @@ class EcPolicy {
   int any_subset_decodable() const { return asd_; }
 
   /// Encodes `value` into n shares of share_size(value.size()) bytes each.
-  virtual std::vector<Bytes> encode(BytesView value) const;
+  std::vector<Bytes> encode(BytesView value) const;
 
   /// Zero-copy encode into caller-provided buffers dsts[0..n), each
-  /// share_size(value.size()) writable bytes.
-  virtual void encode_into(BytesView value, uint8_t* const* dsts) const;
+  /// share_size(value.size()) writable bytes (the proposer points these
+  /// straight into its outgoing wire frames). Any alignment works;
+  /// 32-byte-aligned buffers hit the fastest kernel path. Unit (systematic)
+  /// rows are copied once and then serve as the sources of a cache-blocked
+  /// kernel that walks each data block once while hot.
+  void encode_into(BytesView value, uint8_t* const* dsts) const;
 
-  /// Encodes only share `index`.
-  virtual Bytes encode_share(BytesView value, int index) const;
+  /// Encodes only share `index` (what a proposer needs when re-sending one
+  /// follower's fragment during catch-up, §4.5).
+  Bytes encode_share(BytesView value, int index) const;
 
   /// True iff the given distinct share indices can reconstruct the value.
   bool decodable(const std::vector<int>& have) const;
@@ -113,8 +120,7 @@ class EcPolicy {
   /// malformed share sizes/indices. Systematic sub-shares among the inputs
   /// are copied straight through; the solve kernel only runs for missing
   /// sub-stripes.
-  virtual StatusOr<Bytes> decode(const std::map<int, Bytes>& shares,
-                                 size_t value_len) const;
+  StatusOr<Bytes> decode(const std::map<int, Bytes>& shares, size_t value_len) const;
 
   /// Cheapest feasible plan rebuilding `target` (a share index, or
   /// RepairPlan::kWholeValue) from the `live` share indices (target itself is
@@ -145,13 +151,25 @@ class EcPolicy {
                                    std::vector<RepairPlan>* out) const;
 
  private:
-  bool rows_feasible(const RepairPlan& plan, Matrix* rows) const;
+  /// True iff the plan's fetched sub-rows can rebuild its target.
+  bool rows_feasible(const RepairPlan& plan) const;
+  /// Generator rows a plan must rebuild: the target's sub-rows, or the
+  /// identity for kWholeValue.
+  Matrix target_rows(int target) const;
+  void encode_kernel(BytesView value, uint8_t* const* dsts) const;
 
   int x_;
   int n_;
   int s_;
   int asd_;
   Matrix gen_;
+  // Per generator row: the variable a unit row copies (-1 if not a unit
+  // row), and its first nonzero coefficient (cols() if the row is zero).
+  std::vector<int> unit_;
+  std::vector<size_t> first_nz_;
+  // Per variable: the first unit row carrying it verbatim (every policy is
+  // systematic, so each variable has one).
+  std::vector<int> carrier_;
 };
 
 /// Smallest t such that every t-subset of the n shares has full-rank
@@ -159,8 +177,14 @@ class EcPolicy {
 /// can cross-check the value each policy reports.
 int brute_force_any_subset_decodable(const Matrix& gen, int n, int s);
 
-/// θ(x, n) Reed-Solomon wrapped as a policy (byte-identical to the pre-policy
-/// wire format; SIMD kernels via RsCode). Requires 1 <= x <= n <= 255.
+/// The n x x systematic Reed-Solomon generator: the extended Vandermonde
+/// matrix right-multiplied by the inverse of its top x x x block, so rows
+/// [0, x) are the identity and any x rows are invertible. lrc and hh take
+/// their parity rows from it. Requires 1 <= x <= n <= 255.
+StatusOr<Matrix> rs_generator(int x, int n);
+
+/// θ(x, n) Reed-Solomon (the paper's code, §2.2; the rs wire format).
+/// Requires 1 <= x <= n <= 255.
 StatusOr<std::unique_ptr<EcPolicy>> make_rs_policy(int x, int n);
 
 /// Azure-style Locally Repairable Code: data split into local groups each

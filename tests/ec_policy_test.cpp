@@ -18,7 +18,8 @@
 
 #include "ec/code_id.h"
 #include "ec/policy.h"
-#include "ec/rs_code.h"
+#include "obs/metrics.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace rspaxos {
@@ -136,17 +137,93 @@ TEST(EcPolicy, EncodeVariantsAgree) {
   }
 }
 
-TEST(EcPolicy, RsPolicyByteIdenticalToRsCode) {
-  Rng rng(73);
-  for (auto [x, n] : {std::pair{2, 4}, std::pair{3, 5}, std::pair{4, 10}}) {
-    const EcPolicy& p = PolicyCache::get(CodeId::kRs, x, n);
-    const ec::RsCode& rs = ec::RsCodeCache::get(x, n);
-    const Bytes value = random_value(&rng, 3333);
-    EXPECT_EQ(p.share_size(value.size()), rs.share_size(value.size()));
-    EXPECT_EQ(p.encode(value), rs.encode(value));
-    for (int i = 0; i < n; ++i) {
-      EXPECT_EQ(p.encode_share(value, i), rs.encode_share(value, i));
+// Known-answer CRC32Cs of every rs share, recorded from the pre-policy
+// Reed-Solomon codec: the rs wire and WAL share bytes must never change.
+// Each value is Rng(x * 1000 + n + len) bytes; 16 KiB * x + 1 crosses a
+// kernel column block.
+struct RsGolden {
+  int x;
+  int n;
+  size_t len;
+  std::vector<uint32_t> crcs;
+};
+
+const RsGolden kRsGoldens[] = {
+    {1, 1, 0, {0x00000000}},
+    {1, 1, 1, {0xcbf4f86a}},
+    {1, 1, 3333, {0x31807652}},
+    {1, 1, 16385, {0x6831b106}},
+    {1, 1, 1048576, {0x33120e87}},
+    {2, 4, 0, {0x00000000, 0x00000000, 0x00000000, 0x00000000}},
+    {2, 4, 1, {0x87b2dbcc, 0x527d5351, 0x86b737ba, 0x5378bf27}},
+    {2, 4, 3333, {0x0a492209, 0x32601ea3, 0x6d2f60de, 0x55065c74}},
+    {2, 4, 32769, {0x1c805b7a, 0x2e48404d, 0x6d946b2d, 0x5f5c701a}},
+    {2, 4, 1048576, {0x3be89e2d, 0x36b174cf, 0x5c422a67, 0x511bc085}},
+    {3, 5, 0, {0x00000000, 0x00000000, 0x00000000, 0x00000000, 0x00000000}},
+    {3, 5, 1, {0x4b091bff, 0x527d5351, 0x527d5351, 0x4b091bff, 0x8c938ce0}},
+    {3, 5, 3333, {0xf1ca4ede, 0xb66d072c, 0x843552ea, 0xc3921b18, 0x09cdc794}},
+    {3, 5, 49153, {0xed5252e5, 0xcbba941a, 0x5e09fca1, 0x78e13a5e, 0x33d66364}},
+    {3, 5, 1048576, {0x5c10d183, 0x1ca02385, 0x3bf6826e, 0x7b467068, 0xc7642740}},
+    {4, 10, 0, {0x00000000, 0x00000000, 0x00000000, 0x00000000, 0x00000000, 0x00000000, 0x00000000, 0x00000000, 0x00000000, 0x00000000}},
+    {4, 10, 1, {0x8f9db87b, 0x527d5351, 0x527d5351, 0x527d5351, 0x97ec1ca3, 0x22e0eb2a, 0x4d1572c9, 0x25f96e6a, 0xc4c21e9d, 0x69bf4dcc}},
+    {4, 10, 3333, {0x9dbddacb, 0x02d6e88f, 0xbe0509d8, 0xfdc69fa0, 0xae37265e, 0x12ece78d, 0xdc3fa68b, 0xbc4cc364, 0xea91087c, 0xa3c216d0}},
+    {4, 10, 65537, {0x18b8e827, 0x944e3af4, 0x5813cb6c, 0xbd2f39d3, 0x58daa36c, 0xefba99f2, 0x26e54d0f, 0xf84f57fd, 0x11c64716, 0x7885a91d}},
+    {4, 10, 1048576, {0xba729020, 0x3fe19f8f, 0x15381838, 0xfde470f0, 0xa33ca0b3, 0xbf2e2293, 0x29c8efb4, 0x58950af3, 0xc2644d4d, 0xba21a39f}},
+    {10, 14, 0, {0x00000000, 0x00000000, 0x00000000, 0x00000000, 0x00000000, 0x00000000, 0x00000000, 0x00000000, 0x00000000, 0x00000000, 0x00000000, 0x00000000, 0x00000000, 0x00000000}},
+    {10, 14, 1, {0xa5048dff, 0x527d5351, 0x527d5351, 0x527d5351, 0x527d5351, 0x527d5351, 0x527d5351, 0x527d5351, 0x527d5351, 0x527d5351, 0xeb4976b4, 0x91f07595, 0x04410cc2, 0xe16dcdee}},
+    {10, 14, 3333, {0x618eba87, 0x410e91e7, 0xa03b8049, 0x99324576, 0xbe2d591d, 0xd28eaa07, 0x0b9f32f0, 0x7ad1a7d8, 0x5569cc05, 0x5d58c863, 0xfeb704ee, 0xb478ab02, 0x44ea7d1b, 0xce66def5}},
+    {10, 14, 163841, {0xc456baa8, 0xf5497e66, 0x44f50ce1, 0xa8ad5a0b, 0x71c97f25, 0x15885ec6, 0x32cde47d, 0xdf63804b, 0x6b1af00a, 0xd273c237, 0xbc6f15a1, 0x9dd5322b, 0xb4e9e016, 0x4e55c49e}},
+    {10, 14, 1048576, {0x59feca20, 0x58f8e7b5, 0xc8be43cc, 0x8882e0e6, 0xdb921b5f, 0xe3670b1f, 0x6b35a6c3, 0x95fcc6ef, 0x0695323e, 0x67164e90, 0x57dcbbab, 0x3a1d0279, 0xc8d62586, 0xefcb5ff1}},
+};
+
+TEST(EcPolicy, RsPolicyMatchesKnownAnswers) {
+  for (const RsGolden& g : kRsGoldens) {
+    const EcPolicy& p = PolicyCache::get(CodeId::kRs, g.x, g.n);
+    Rng rng(static_cast<uint64_t>(g.x) * 1000 + static_cast<uint64_t>(g.n) + g.len);
+    Bytes value(g.len);
+    rng.fill(value.data(), value.size());
+    ASSERT_EQ(p.share_size(g.len), (g.len + static_cast<size_t>(g.x) - 1) /
+                                       static_cast<size_t>(g.x));
+    const std::vector<Bytes> shares = p.encode(value);
+    ASSERT_EQ(shares.size(), g.crcs.size());
+    for (int i = 0; i < g.n; ++i) {
+      const uint32_t want = g.crcs[static_cast<size_t>(i)];
+      EXPECT_EQ(crc32c(shares[static_cast<size_t>(i)]), want)
+          << "rs(" << g.x << "," << g.n << ") len=" << g.len << " share " << i;
+      EXPECT_EQ(crc32c(p.encode_share(value, i)), want)
+          << "rs(" << g.x << "," << g.n << ") len=" << g.len << " encode_share " << i;
     }
+  }
+}
+
+// Every code reports its codec work through the same rsp_ec_* metrics:
+// one count per public call (encode() runs through encode_into() and must
+// not count twice; encode_share is one encode), and the input bytes.
+TEST(EcPolicy, CodecMetricsCountEveryCode) {
+  auto& reg = obs::MetricsRegistry::global();
+  obs::Counter& encodes = reg.counter("rsp_ec_encode_total", "");
+  obs::Counter& encode_bytes = reg.counter("rsp_ec_encode_bytes", "");
+  obs::Counter& decodes = reg.counter("rsp_ec_decode_total", "");
+  obs::Counter& decode_bytes = reg.counter("rsp_ec_decode_bytes", "");
+  Rng rng(77);
+  for (CodeId code : {CodeId::kRs, CodeId::kLrc, CodeId::kHh}) {
+    const EcPolicy& p = PolicyCache::get(code, 4, 10);
+    const Bytes value = random_value(&rng, 5000);
+    const uint64_t enc0 = encodes.value();
+    const uint64_t encb0 = encode_bytes.value();
+    const uint64_t dec0 = decodes.value();
+    const uint64_t decb0 = decode_bytes.value();
+    const std::vector<Bytes> shares = p.encode(value);
+    EXPECT_EQ(encodes.value() - enc0, 1u) << ec::to_string(code);
+    EXPECT_EQ(encode_bytes.value() - encb0, value.size()) << ec::to_string(code);
+    p.encode_share(value, p.n() - 1);
+    EXPECT_EQ(encodes.value() - enc0, 2u) << ec::to_string(code);
+    EXPECT_EQ(encode_bytes.value() - encb0, 2 * value.size()) << ec::to_string(code);
+    std::map<int, Bytes> input;
+    for (int i = 0; i < p.n(); ++i) input[i] = shares[static_cast<size_t>(i)];
+    ASSERT_TRUE(p.decode(input, value.size()).is_ok());
+    EXPECT_EQ(decodes.value() - dec0, 1u) << ec::to_string(code);
+    EXPECT_EQ(decode_bytes.value() - decb0, value.size()) << ec::to_string(code);
   }
 }
 
@@ -288,7 +365,7 @@ TEST(EcPolicy, CodeIdRoundTrip) {
 }
 
 // Regression for the cache thread-safety satellite: EcWorkerPool workers and
-// reactor threads hit RsCodeCache::get / PolicyCache::get concurrently while
+// reactor threads hit PolicyCache::get concurrently while
 // encoding. Run under TSan via the tsan preset.
 TEST(EcPolicy, CachesAreThreadSafe) {
   constexpr int kThreads = 8;
@@ -300,7 +377,7 @@ TEST(EcPolicy, CachesAreThreadSafe) {
       for (int i = 0; i < kIters; ++i) {
         const Geometry& g = kGeometries[rng.next_below(std::size(kGeometries))];
         const EcPolicy& p = PolicyCache::get(g.code, g.x, g.n);
-        const ec::RsCode& rs = ec::RsCodeCache::get(g.x, g.n);
+        const EcPolicy& rs = PolicyCache::get(CodeId::kRs, g.x, g.n);
         Bytes value = random_value(&rng, 64 + rng.next_below(256));
         auto shares = p.encode(value);
         std::map<int, Bytes> input;

@@ -12,14 +12,17 @@
 #include "ec/gf256.h"
 #include "ec/gf256_simd.h"
 #include "ec/matrix.h"
-#include "ec/rs_code.h"
+#include "ec/policy.h"
 #include "util/rng.h"
 
 namespace rspaxos {
 namespace {
 
+using ec::EcPolicy;
 using ec::Matrix;
-using ec::RsCode;
+
+/// The cached θ(x, n) Reed-Solomon policy.
+const EcPolicy& rs(int x, int n) { return ec::PolicyCache::get(ec::CodeId::kRs, x, n); }
 
 TEST(Gf256, AdditionIsXor) {
   EXPECT_EQ(gf::add(0x53, 0xCA), 0x53 ^ 0xCA);
@@ -216,41 +219,39 @@ TEST(GfSimd, EncodeIdenticalAcrossTiers) {
   // wire/WAL format cannot depend on which CPU encoded it.
   TierGuard guard;
   Rng rng(13);
-  auto code = RsCode::create(3, 5);
-  ASSERT_TRUE(code.is_ok());
+  const EcPolicy& code = rs(3, 5);
   Bytes value(64 * 1024 - 5);
   rng.fill(value.data(), value.size());
   ASSERT_TRUE(gf::force_tier(cpu::GfTier::kScalar));
-  auto scalar_shares = code.value().encode(value);
+  auto scalar_shares = code.encode(value);
   for (auto tier : supported_simd_tiers()) {
     ASSERT_TRUE(gf::force_tier(tier));
-    auto simd_shares = code.value().encode(value);
+    auto simd_shares = code.encode(value);
     ASSERT_EQ(simd_shares, scalar_shares) << cpu::tier_name(tier);
     // Parity-only decode exercises the inversion + kernel path per tier.
     std::map<int, Bytes> in{{2, simd_shares[2]}, {3, simd_shares[3]},
                             {4, simd_shares[4]}};
-    auto out = code.value().decode(in, value.size());
+    auto out = code.decode(in, value.size());
     ASSERT_TRUE(out.is_ok());
     EXPECT_EQ(out.value(), value) << cpu::tier_name(tier);
   }
 }
 
-TEST(RsCode, EncodeIntoMatchesEncode) {
+TEST(RsPolicy, EncodeIntoMatchesEncode) {
   Rng rng(14);
-  auto code = RsCode::create(3, 5);
-  ASSERT_TRUE(code.is_ok());
+  const EcPolicy& code = rs(3, 5);
   for (size_t value_len : {size_t{0}, size_t{1}, size_t{9}, size_t{10},
                            size_t{4096}, size_t{100000}}) {
     Bytes value(value_len);
     rng.fill(value.data(), value.size());
-    auto shares = code.value().encode(value);
-    size_t ss = code.value().share_size(value_len);
+    auto shares = code.encode(value);
+    size_t ss = code.share_size(value_len);
     // Destination buffers deliberately misaligned (offset 1..5 into padding)
     // to prove the zero-copy path accepts arbitrary frame offsets.
     std::vector<Bytes> bufs(5, Bytes(ss + 8, 0xee));
     std::vector<uint8_t*> dsts(5);
     for (size_t i = 0; i < 5; ++i) dsts[i] = bufs[i].data() + 1 + i;
-    code.value().encode_into(value, dsts.data());
+    code.encode_into(value, dsts.data());
     for (size_t i = 0; i < 5; ++i) {
       EXPECT_EQ(Bytes(dsts[i], dsts[i] + ss), shares[i]) << "share " << i;
       EXPECT_EQ(bufs[i][0], 0xee);               // no under-run
@@ -259,22 +260,21 @@ TEST(RsCode, EncodeIntoMatchesEncode) {
   }
 }
 
-TEST(RsCode, DecodeMixedSystematicParitySubsets) {
+TEST(RsPolicy, DecodeMixedSystematicParitySubsets) {
   // The partial-systematic fast path: present systematic shares must be
   // memcpy'd verbatim and missing rows reconstructed, for every mixed subset.
   Rng rng(15);
-  auto code = RsCode::create(3, 6);
-  ASSERT_TRUE(code.is_ok());
+  const EcPolicy& code = rs(3, 6);
   Bytes value(3000);
   rng.fill(value.data(), value.size());
-  auto shares = code.value().encode(value);
+  auto shares = code.encode(value);
   for (int a = 0; a < 6; ++a) {
     for (int b = a + 1; b < 6; ++b) {
       for (int c = b + 1; c < 6; ++c) {
         std::map<int, Bytes> in{{a, shares[static_cast<size_t>(a)]},
                                 {b, shares[static_cast<size_t>(b)]},
                                 {c, shares[static_cast<size_t>(c)]}};
-        auto out = code.value().decode(in, value.size());
+        auto out = code.decode(in, value.size());
         ASSERT_TRUE(out.is_ok()) << a << "," << b << "," << c;
         EXPECT_EQ(out.value(), value) << a << "," << b << "," << c;
       }
@@ -336,90 +336,90 @@ TEST(Matrix, VandermondeSubmatricesInvertible) {
   }
 }
 
-TEST(RsCode, RejectsBadParams) {
-  EXPECT_FALSE(RsCode::create(0, 5).is_ok());
-  EXPECT_FALSE(RsCode::create(3, 2).is_ok());
-  EXPECT_FALSE(RsCode::create(1, 256).is_ok());
-  EXPECT_TRUE(RsCode::create(1, 1).is_ok());
-  EXPECT_TRUE(RsCode::create(3, 5).is_ok());
+TEST(RsPolicy, RejectsBadParams) {
+  EXPECT_FALSE(ec::make_rs_policy(0, 5).is_ok());
+  EXPECT_FALSE(ec::make_rs_policy(3, 2).is_ok());
+  EXPECT_FALSE(ec::make_rs_policy(1, 256).is_ok());
+  EXPECT_TRUE(ec::make_rs_policy(1, 1).is_ok());
+  EXPECT_TRUE(ec::make_rs_policy(3, 5).is_ok());
+  const uint8_t kRs = static_cast<uint8_t>(ec::CodeId::kRs);
+  EXPECT_FALSE(ec::PolicyCache::get_checked(kRs, 0, 5).is_ok());
+  EXPECT_FALSE(ec::PolicyCache::get_checked(kRs, 3, 2).is_ok());
+  EXPECT_FALSE(ec::PolicyCache::get_checked(kRs, 1, 256).is_ok());
+  EXPECT_TRUE(ec::PolicyCache::get_checked(kRs, 1, 1).is_ok());
+  EXPECT_TRUE(ec::PolicyCache::get_checked(kRs, 3, 5).is_ok());
 }
 
-TEST(RsCode, SystematicSharesAreDataSplits) {
-  auto code = RsCode::create(3, 5);
-  ASSERT_TRUE(code.is_ok());
+TEST(RsPolicy, SystematicSharesAreDataSplits) {
+  const EcPolicy& code = rs(3, 5);
   Bytes value = to_bytes("abcdefghi");  // 9 bytes -> 3 per share
-  auto shares = code.value().encode(value);
+  auto shares = code.encode(value);
   ASSERT_EQ(shares.size(), 5u);
   EXPECT_EQ(to_string(shares[0]), "abc");
   EXPECT_EQ(to_string(shares[1]), "def");
   EXPECT_EQ(to_string(shares[2]), "ghi");
 }
 
-TEST(RsCode, ShareSizeIsCeilDiv) {
-  auto code = RsCode::create(3, 5);
-  ASSERT_TRUE(code.is_ok());
-  EXPECT_EQ(code.value().share_size(9), 3u);
-  EXPECT_EQ(code.value().share_size(10), 4u);
-  EXPECT_EQ(code.value().share_size(0), 0u);
-  EXPECT_EQ(code.value().share_size(1), 1u);
+TEST(RsPolicy, ShareSizeIsCeilDiv) {
+  const EcPolicy& code = rs(3, 5);
+  EXPECT_EQ(code.share_size(9), 3u);
+  EXPECT_EQ(code.share_size(10), 4u);
+  EXPECT_EQ(code.share_size(0), 0u);
+  EXPECT_EQ(code.share_size(1), 1u);
 }
 
-TEST(RsCode, EncodeShareMatchesFullEncode) {
+TEST(RsPolicy, EncodeShareMatchesFullEncode) {
   Rng rng(7);
-  auto code = RsCode::create(4, 7);
-  ASSERT_TRUE(code.is_ok());
+  const EcPolicy& code = rs(4, 7);
   Bytes value(1000);
   rng.fill(value.data(), value.size());
-  auto shares = code.value().encode(value);
+  auto shares = code.encode(value);
   for (int i = 0; i < 7; ++i) {
-    EXPECT_EQ(code.value().encode_share(value, i), shares[static_cast<size_t>(i)])
+    EXPECT_EQ(code.encode_share(value, i), shares[static_cast<size_t>(i)])
         << "share " << i;
   }
 }
 
-TEST(RsCode, EmptyValue) {
-  auto code = RsCode::create(3, 5);
-  ASSERT_TRUE(code.is_ok());
-  auto shares = code.value().encode(Bytes{});
+TEST(RsPolicy, EmptyValue) {
+  const EcPolicy& code = rs(3, 5);
+  auto shares = code.encode(Bytes{});
   for (const auto& s : shares) EXPECT_TRUE(s.empty());
   std::map<int, Bytes> in{{0, {}}, {2, {}}, {4, {}}};
-  auto out = code.value().decode(in, 0);
+  auto out = code.decode(in, 0);
   ASSERT_TRUE(out.is_ok());
   EXPECT_TRUE(out.value().empty());
 }
 
-TEST(RsCode, NotEnoughSharesFails) {
-  auto code = RsCode::create(3, 5);
-  ASSERT_TRUE(code.is_ok());
+TEST(RsPolicy, NotEnoughSharesFails) {
+  const EcPolicy& code = rs(3, 5);
   Bytes value(100, 0x42);
-  auto shares = code.value().encode(value);
+  auto shares = code.encode(value);
   std::map<int, Bytes> in{{0, shares[0]}, {3, shares[3]}};
-  EXPECT_FALSE(code.value().decode(in, value.size()).is_ok());
+  EXPECT_FALSE(code.decode(in, value.size()).is_ok());
 }
 
-TEST(RsCode, InconsistentShareSizeRejected) {
-  auto code = RsCode::create(2, 4);
-  ASSERT_TRUE(code.is_ok());
+TEST(RsPolicy, InconsistentShareSizeRejected) {
+  const EcPolicy& code = rs(2, 4);
   Bytes value(64, 1);
-  auto shares = code.value().encode(value);
+  auto shares = code.encode(value);
   std::map<int, Bytes> in{{0, shares[0]}, {1, Bytes(5, 0)}};
-  EXPECT_FALSE(code.value().decode(in, value.size()).is_ok());
+  EXPECT_FALSE(code.decode(in, value.size()).is_ok());
 }
 
-TEST(RsCode, OutOfRangeIndexRejected) {
-  auto code = RsCode::create(2, 4);
-  ASSERT_TRUE(code.is_ok());
+TEST(RsPolicy, OutOfRangeIndexRejected) {
+  const EcPolicy& code = rs(2, 4);
   Bytes value(64, 1);
-  auto shares = code.value().encode(value);
+  auto shares = code.encode(value);
   std::map<int, Bytes> in{{0, shares[0]}, {7, shares[1]}};
-  EXPECT_FALSE(code.value().decode(in, value.size()).is_ok());
+  EXPECT_FALSE(code.decode(in, value.size()).is_ok());
 }
 
-TEST(RsCode, CacheReturnsSameInstance) {
-  const RsCode& a = ec::RsCodeCache::get(3, 5);
-  const RsCode& b = ec::RsCodeCache::get(3, 5);
+TEST(RsPolicy, CacheReturnsSameInstance) {
+  const EcPolicy& a = rs(3, 5);
+  const EcPolicy& b = rs(3, 5);
   EXPECT_EQ(&a, &b);
-  EXPECT_EQ(a.m(), 3);
+  EXPECT_EQ(a.id(), ec::CodeId::kRs);
+  EXPECT_EQ(a.x(), 3);
   EXPECT_EQ(a.n(), 5);
 }
 
@@ -434,12 +434,11 @@ class RsRoundTrip : public ::testing::TestWithParam<RsParam> {};
 
 TEST_P(RsRoundTrip, AnyMSubsetReconstructs) {
   const auto [m, n, value_len] = GetParam();
-  auto code = RsCode::create(m, n);
-  ASSERT_TRUE(code.is_ok());
+  const EcPolicy& code = rs(m, n);
   Rng rng(static_cast<uint64_t>(m * 1000 + n * 10) + value_len);
   Bytes value(value_len);
   rng.fill(value.data(), value.size());
-  auto shares = code.value().encode(value);
+  auto shares = code.encode(value);
   ASSERT_EQ(shares.size(), static_cast<size_t>(n));
 
   // Try up to 20 random m-subsets plus the "last m" and "first m" subsets.
@@ -461,7 +460,7 @@ TEST_P(RsRoundTrip, AnyMSubsetReconstructs) {
   for (const auto& subset : subsets) {
     std::map<int, Bytes> in;
     for (int idx : subset) in.emplace(idx, shares[static_cast<size_t>(idx)]);
-    auto out = code.value().decode(in, value.size());
+    auto out = code.decode(in, value.size());
     ASSERT_TRUE(out.is_ok());
     EXPECT_EQ(out.value(), value);
   }
@@ -479,11 +478,10 @@ INSTANTIATE_TEST_SUITE_P(
         RsParam{3, 5, 0}, RsParam{7, 7, 1000}));
 
 // The paper's redundancy example (§2.2): n=5, m=3 -> r = 5/3.
-TEST(RsCode, RedundancyMath) {
-  auto code = RsCode::create(3, 5);
-  ASSERT_TRUE(code.is_ok());
+TEST(RsPolicy, RedundancyMath) {
+  const EcPolicy& code = rs(3, 5);
   size_t value = 3 * 1000;
-  size_t total_stored = 5 * code.value().share_size(value);
+  size_t total_stored = 5 * code.share_size(value);
   EXPECT_DOUBLE_EQ(static_cast<double>(total_stored) / static_cast<double>(value),
                    5.0 / 3.0);
 }

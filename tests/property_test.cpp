@@ -12,7 +12,7 @@
 
 #include "consensus/config.h"
 #include "consensus/single.h"
-#include "ec/rs_code.h"
+#include "ec/policy.h"
 #include "util/rng.h"
 
 namespace rspaxos::consensus {
@@ -37,7 +37,7 @@ TEST_P(SeededCase, Phase1ChoiceIsSoundAndMaximal) {
     std::vector<Bytes> shares;
     int shares_present = 0;
   };
-  const ec::RsCode& code = ec::RsCodeCache::get(x, n);
+  const ec::EcPolicy& code = ec::PolicyCache::get(ec::CodeId::kRs, x, n);
   int num_candidates = 1 + static_cast<int>(rng.next_below(3));
   std::vector<Candidate> cands;
   std::vector<PromiseEntry> entries;
@@ -107,11 +107,10 @@ TEST(RsExhaustive, EveryMSubsetOfSmallCodes) {
   Rng rng(99);
   for (int n = 2; n <= 6; ++n) {
     for (int m = 1; m <= n; ++m) {
-      auto code = ec::RsCode::create(m, n);
-      ASSERT_TRUE(code.is_ok());
+      const ec::EcPolicy& code = ec::PolicyCache::get(ec::CodeId::kRs, m, n);
       Bytes value(57);
       rng.fill(value.data(), value.size());
-      auto shares = code.value().encode(value);
+      auto shares = code.encode(value);
       // Iterate all C(n, m) subsets via bitmask.
       for (unsigned mask = 0; mask < (1u << n); ++mask) {
         if (__builtin_popcount(mask) != m) continue;
@@ -119,7 +118,7 @@ TEST(RsExhaustive, EveryMSubsetOfSmallCodes) {
         for (int i = 0; i < n; ++i) {
           if (mask & (1u << i)) in.emplace(i, shares[static_cast<size_t>(i)]);
         }
-        auto out = code.value().decode(in, value.size());
+        auto out = code.decode(in, value.size());
         ASSERT_TRUE(out.is_ok()) << "m=" << m << " n=" << n << " mask=" << mask;
         ASSERT_EQ(out.value(), value) << "m=" << m << " n=" << n << " mask=" << mask;
       }

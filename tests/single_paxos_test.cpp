@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "consensus/single.h"
-#include "ec/rs_code.h"
+#include "ec/policy.h"
 #include "storage/wal.h"
 #include "sim_harness.h"
 
@@ -151,7 +151,7 @@ TEST(SinglePaxos, NaiveCombinationLosesDataTheProtocolRejectsIt) {
   // Demonstrate the data loss the validation prevents: encode θ(3,5), store
   // on 3 acceptors (a write quorum of the naive config), crash one, observe
   // that the remaining shares cannot reconstruct.
-  const ec::RsCode& code = ec::RsCodeCache::get(3, 5);
+  const ec::EcPolicy& code = ec::PolicyCache::get(ec::CodeId::kRs, 3, 5);
   Bytes value(300, 0x5c);
   auto shares = code.encode(value);
   // Acceptors 0,1,2 accepted; acceptor 2 dies; a later reader quorum of 3
@@ -163,7 +163,7 @@ TEST(SinglePaxos, NaiveCombinationLosesDataTheProtocolRejectsIt) {
 TEST(SinglePaxos, Phase1PrefersHighestBallotRecoverable) {
   // Craft promises containing two recoverable values; the higher-ballot one
   // must win.
-  const ec::RsCode& code = ec::RsCodeCache::get(2, 4);
+  const ec::EcPolicy& code = ec::PolicyCache::get(ec::CodeId::kRs, 2, 4);
   Bytes old_value = to_bytes("old-value!");
   Bytes new_value = to_bytes("new-value?");
   auto old_shares = code.encode(old_value);
@@ -200,7 +200,7 @@ TEST(SinglePaxos, Phase1SkipsUnrecoverableHigherBallot) {
   // One lone share of a higher-ballot value (cannot have been chosen: the
   // write quorum never completed within our read quorum) is skipped in
   // favour of a fully recoverable lower-ballot value.
-  const ec::RsCode& code = ec::RsCodeCache::get(2, 4);
+  const ec::EcPolicy& code = ec::PolicyCache::get(ec::CodeId::kRs, 2, 4);
   Bytes low_value = to_bytes("low");
   auto low_shares = code.encode(low_value);
   ValueId vid_low{1, 1}, vid_high{2, 2};
