@@ -20,7 +20,7 @@ namespace {
 double measure_mbps(bool rs_mode, const DiskKind& disk, bool group_commit,
                     size_t value_size) {
   auto world = std::make_unique<sim::SimWorld>(13);
-  kv::SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_servers = 5;
   opts.num_groups = 1;
   opts.rs_mode = rs_mode;
@@ -29,7 +29,7 @@ double measure_mbps(bool rs_mode, const DiskKind& disk, bool group_commit,
   opts.disk = disk.params;
   opts.replica = bench_replica_options(false);
   opts.wal_retain = false;
-  kv::SimCluster cluster(world.get(), opts);
+  node::SimCluster cluster(world.get(), opts);
   for (int s = 0; s < 5; ++s) cluster.host_wal(s).set_group_commit(group_commit);
   cluster.wait_for_leaders();
 

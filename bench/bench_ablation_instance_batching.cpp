@@ -17,7 +17,7 @@ namespace {
 double measure_mbps(bool rs_mode, const DiskKind& disk, DurationMicros window,
                     size_t value_size) {
   auto world = std::make_unique<sim::SimWorld>(29);
-  kv::SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_servers = 5;
   opts.num_groups = 1;
   opts.rs_mode = rs_mode;
@@ -27,7 +27,7 @@ double measure_mbps(bool rs_mode, const DiskKind& disk, DurationMicros window,
   opts.replica = bench_replica_options(false);
   opts.kv.batch_window = window;
   opts.wal_retain = false;
-  kv::SimCluster cluster(world.get(), opts);
+  node::SimCluster cluster(world.get(), opts);
   cluster.wait_for_leaders();
 
   WorkloadSpec spec;

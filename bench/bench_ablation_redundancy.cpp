@@ -20,7 +20,7 @@ struct CostRow {
 
 CostRow measure(int n, int f, size_t value_size, uint64_t writes) {
   auto world = std::make_unique<sim::SimWorld>(5);
-  kv::SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_servers = n;
   opts.num_groups = 1;
   opts.rs_mode = true;
@@ -28,7 +28,7 @@ CostRow measure(int n, int f, size_t value_size, uint64_t writes) {
   opts.link = sim::LinkParams::lan();
   opts.disk = sim::DiskParams::ssd();
   opts.replica = bench_replica_options(false);
-  kv::SimCluster cluster(world.get(), opts);
+  node::SimCluster cluster(world.get(), opts);
   cluster.wait_for_leaders();
 
   WorkloadSpec spec;
@@ -88,12 +88,12 @@ int main() {
               "theory n/x");
   for (Item it : {Item{5, 1}, Item{7, 2}, Item{7, 1}}) {
     auto world = std::make_unique<sim::SimWorld>(6);
-    kv::SimClusterOptions opts;
+    node::SimClusterOptions opts;
     opts.num_servers = it.n;
     opts.rs_mode = true;
     opts.f = it.f;
     opts.replica = bench_replica_options(false);
-    kv::SimCluster cluster(world.get(), opts);
+    node::SimCluster cluster(world.get(), opts);
     cluster.wait_for_leaders();
     WorkloadSpec spec;
     spec.value_min = spec.value_max = kValue;

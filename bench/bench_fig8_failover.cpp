@@ -39,7 +39,7 @@ struct Timeline {
 Timeline run_failover(bool rs_mode, double read_ratio, uint64_t seed) {
   Env env = wide_area();
   auto world = std::make_unique<sim::SimWorld>(seed);
-  kv::SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_servers = 5;
   opts.num_groups = 2;
   opts.rs_mode = rs_mode;
@@ -52,7 +52,7 @@ Timeline run_failover(bool rs_mode, double read_ratio, uint64_t seed) {
   opts.replica.share_cache_slots = 0;
   opts.replica.payload_cache_slots = 64;
   opts.wal_retain = false;
-  kv::SimCluster cluster(world.get(), opts);
+  node::SimCluster cluster(world.get(), opts);
   cluster.wait_for_leaders();
 
   make_client_links_free(cluster, kClients);
@@ -60,7 +60,7 @@ Timeline run_failover(bool rs_mode, double read_ratio, uint64_t seed) {
   copts.request_timeout = 800 * kMillis;  // probe the next replica quickly
   copts.max_attempts = 10000;
   std::vector<std::unique_ptr<kv::KvClient>> clients;
-  for (int i = 0; i < kClients; ++i) clients.push_back(cluster.make_client(i, copts));
+  for (int i = 0; i < kClients; ++i) clients.push_back(cluster.make_client(copts));
 
   Rng rng(seed * 3 + 1);
   uint64_t bucket_bytes[kBucketSeconds] = {};
@@ -136,7 +136,7 @@ Timeline run_failover(bool rs_mode, double read_ratio, uint64_t seed) {
       consensus::GroupConfig cur = rep.config();
       std::vector<NodeId> members;
       for (int s = 0; s < opts.num_servers; ++s) {
-        if (!dead.count(s)) members.push_back(kv::endpoint_id(s, g));
+        if (!dead.count(s)) members.push_back(net::endpoint_id(s, g));
       }
       auto next =
           rs_mode ? consensus::GroupConfig::rs_max_x(members, 1, cur.epoch + 1)

@@ -61,8 +61,8 @@ struct Cell {
   double speedup() const { return r1_mbps > 0 ? mbps / r1_mbps : 0.0; }
 };
 
-kv::SimClusterOptions cluster_options(const DiskKind& disk, int groups, int reactors) {
-  kv::SimClusterOptions opts;
+node::SimClusterOptions cluster_options(const DiskKind& disk, int groups, int reactors) {
+  node::SimClusterOptions opts;
   opts.num_servers = kServers;
   opts.num_groups = groups;
   opts.reactors = reactors;
@@ -92,7 +92,7 @@ WorkloadSpec workload(int clients, uint64_t ops, uint64_t seed) {
 RunResult run_one(const DiskKind& disk, int groups, int reactors, int clients,
                   uint64_t ops, uint64_t seed) {
   auto world = std::make_unique<sim::SimWorld>(seed);
-  kv::SimCluster cluster(world.get(), cluster_options(disk, groups, reactors));
+  node::SimCluster cluster(world.get(), cluster_options(disk, groups, reactors));
   cluster.wait_for_leaders();
   WorkloadDriver driver(world.get(), &cluster, workload(clients, ops, seed));
   return driver.run();

@@ -81,21 +81,21 @@ uint64_t total_moved_bytes() {
 
 void run_cell(Cell& cell, uint64_t seed) {
   sim::SimWorld world(seed);
-  kv::SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_servers = kServers;
   opts.num_groups = static_cast<int>(kGroups);
   opts.num_shards = kShards;
   opts.link = sim::LinkParams::lan();
   opts.disk = sim::DiskParams::ssd();
   opts.replica = bench_replica_options(false);
-  kv::SimCluster cluster(&world, opts);
+  node::SimCluster cluster(&world, opts);
   cluster.wait_for_leaders();
   make_client_links_free(cluster, 1);
 
   kv::KvClient::Options copts;
   copts.request_timeout = 500 * kMillis;
   copts.max_attempts = 400;
-  auto client = cluster.make_client(0, copts);
+  auto client = cluster.make_client(copts);
 
   auto put = [&](const std::string& key, Bytes value) {
     std::optional<Status> out;

@@ -119,7 +119,7 @@ struct SimPointResult {
 
 Point run_sim_point(double qps, DurationMicros duration, uint64_t seed) {
   sim::SimWorld world(seed);
-  kv::SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_servers = 5;
   opts.num_groups = 1;
   opts.rs_mode = true;
@@ -129,12 +129,12 @@ Point run_sim_point(double qps, DurationMicros duration, uint64_t seed) {
   opts.replica = bench_replica_options(false);
   opts.kv = saturation_kv_options();
   opts.wal_retain = false;
-  kv::SimCluster cluster(&world, opts);
+  node::SimCluster cluster(&world, opts);
   cluster.wait_for_leaders();
   make_client_links_free(cluster, 1);
 
-  auto client = cluster.make_client(0, saturation_client_options());
-  NodeContext* ctx = cluster.network().node(kv::kClientBase);
+  auto client = cluster.make_client(saturation_client_options());
+  NodeContext* ctx = cluster.network().node(net::kClientBase);
 
   // Preload so reads would always hit and first-touch costs stay out of the
   // measured window.

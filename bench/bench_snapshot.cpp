@@ -33,7 +33,7 @@ struct Row {
 // `overwrites` times), restart it and measure the convergence.
 Row measure(size_t value_size, int overwrites, bool snapshots, uint64_t seed) {
   auto world = std::make_unique<sim::SimWorld>(seed);
-  kv::SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_servers = 5;
   opts.rs_mode = true;
   opts.f = 1;
@@ -45,13 +45,13 @@ Row measure(size_t value_size, int overwrites, bool snapshots, uint64_t seed) {
   opts.replica.share_cache_slots = 0;
   opts.replica.payload_cache_slots = 64;
   if (snapshots) opts.replica.checkpoint_interval_slots = 16;
-  kv::SimCluster cluster(world.get(), opts);
+  node::SimCluster cluster(world.get(), opts);
   cluster.wait_for_leaders();
   make_client_links_free(cluster, 1);
   kv::KvClient::Options copts;
   copts.request_timeout = 2 * kSeconds;
   copts.max_attempts = 1000;
-  auto client = cluster.make_client(0, copts);
+  auto client = cluster.make_client(copts);
 
   auto run_until = [&](auto done, DurationMicros max = 600 * kSeconds) {
     TimeMicros deadline = world->now() + max;

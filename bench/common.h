@@ -17,7 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "kv/cluster.h"
+#include "node/sim_cluster.h"
 // Shared CO-safe latency recording for all benchmarks: percentiles come from
 // util::Histogram via load::LatencyRecorder, never ad-hoc sorted-vector math.
 #include "load/latency_recorder.h"
@@ -122,15 +122,15 @@ struct RunResult {
 /// Makes every client <-> server link free so measurements isolate the
 /// replication cost, matching §6.2.1: "there is a fixed cost that the client
 /// send the request to the server ... we remove it from our results".
-inline void make_client_links_free(kv::SimCluster& cluster, int num_clients) {
+inline void make_client_links_free(node::SimCluster& cluster, int num_clients) {
   sim::LinkParams free_link{0, 0, 0.0, 0.0, 1e15};
   const auto& opts = cluster.options();
   for (int c = 0; c < num_clients; ++c) {
-    NodeId cid = kv::kClientBase + static_cast<NodeId>(c);
+    NodeId cid = net::kClientBase + static_cast<NodeId>(c);
     for (int s = 0; s < opts.num_servers; ++s) {
       for (int g = 0; g < opts.num_groups; ++g) {
-        cluster.network().set_link(cid, kv::endpoint_id(s, g), free_link);
-        cluster.network().set_link(kv::endpoint_id(s, g), cid, free_link);
+        cluster.network().set_link(cid, net::endpoint_id(s, g), free_link);
+        cluster.network().set_link(net::endpoint_id(s, g), cid, free_link);
       }
     }
   }
@@ -140,14 +140,14 @@ inline void make_client_links_free(kv::SimCluster& cluster, int num_clients) {
 /// completion (or until `max_sim_time`).
 class WorkloadDriver {
  public:
-  WorkloadDriver(sim::SimWorld* world, kv::SimCluster* cluster, WorkloadSpec spec)
+  WorkloadDriver(sim::SimWorld* world, node::SimCluster* cluster, WorkloadSpec spec)
       : world_(world), cluster_(cluster), spec_(spec), rng_(spec.seed) {
     if (spec_.free_client_links) make_client_links_free(*cluster_, spec_.num_clients);
     kv::KvClient::Options copts;
     copts.request_timeout = 5 * kSeconds;
     copts.max_attempts = 1000;
     for (int i = 0; i < spec_.num_clients; ++i) {
-      clients_.push_back(cluster_->make_client(i, copts));
+      clients_.push_back(cluster_->make_client(copts));
     }
   }
 
@@ -233,7 +233,7 @@ class WorkloadDriver {
   }
 
   sim::SimWorld* world_;
-  kv::SimCluster* cluster_;
+  node::SimCluster* cluster_;
   WorkloadSpec spec_;
   Rng rng_;
   std::vector<std::unique_ptr<kv::KvClient>> clients_;
@@ -246,7 +246,7 @@ class WorkloadDriver {
 /// Builds the paper's 5-node cluster for one (mode, env, disk) cell.
 struct BenchCluster {
   std::unique_ptr<sim::SimWorld> world;
-  std::unique_ptr<kv::SimCluster> cluster;
+  std::unique_ptr<node::SimCluster> cluster;
   // Declared after `cluster` so it is destroyed FIRST: the reporter's timer
   // lives on a cluster node context and must be cancelled before it dies.
   std::unique_ptr<obs::StatsReporter> reporter;
@@ -254,7 +254,7 @@ struct BenchCluster {
   BenchCluster(bool rs_mode, const Env& env, const DiskKind& disk, int num_groups = 1,
                uint64_t seed = 17) {
     world = std::make_unique<sim::SimWorld>(seed);
-    kv::SimClusterOptions opts;
+    node::SimClusterOptions opts;
     opts.num_servers = 5;
     opts.num_groups = num_groups;
     opts.rs_mode = rs_mode;
@@ -263,12 +263,12 @@ struct BenchCluster {
     opts.disk = disk.params;
     opts.replica = bench_replica_options(std::string(env.name) == "wan");
     opts.wal_retain = false;  // no restarts in measurement runs
-    cluster = std::make_unique<kv::SimCluster>(world.get(), opts);
+    cluster = std::make_unique<node::SimCluster>(world.get(), opts);
     cluster->wait_for_leaders();
     // Periodic registry snapshots in sim time; the cached text doubles as a
     // liveness probe for the metrics pipeline.
     reporter = std::make_unique<obs::StatsReporter>(
-        cluster->network().node(kv::endpoint_id(0, 0)), &obs::MetricsRegistry::global(),
+        cluster->network().node(net::endpoint_id(0, 0)), &obs::MetricsRegistry::global(),
         1 * kSeconds);
     reporter->start();
   }

@@ -8,7 +8,7 @@
 // Build & run:   ./build/examples/failover_demo
 #include <cstdio>
 
-#include "kv/cluster.h"
+#include "node/sim_cluster.h"
 
 using namespace rspaxos;
 
@@ -26,7 +26,7 @@ bool run_until(sim::SimWorld& world, Pred done, DurationMicros max = 60 * kSecon
 int main() {
   std::printf("Fail-over demo — RS-Paxos lock/metadata service, N=5, F=1\n\n");
   sim::SimWorld world(77);
-  kv::SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_servers = 5;
   opts.rs_mode = true;
   opts.f = 1;
@@ -34,9 +34,9 @@ int main() {
   opts.replica.election_timeout_min = 250 * kMillis;
   opts.replica.election_timeout_max = 450 * kMillis;
   opts.replica.lease_duration = 200 * kMillis;
-  kv::SimCluster cluster(&world, opts);
+  node::SimCluster cluster(&world, opts);
   cluster.wait_for_leaders();
-  auto client = cluster.make_client(0);
+  auto client = cluster.make_client();
 
   int leader = cluster.leader_server_of(0);
   std::printf("t=%-6.2fs server %d elected leader\n", world.now() / 1e6, leader);
@@ -82,7 +82,7 @@ int main() {
   auto& rep = cluster.server(leader, 0)->replica();
   std::vector<NodeId> members;
   for (int s = 0; s < 5; ++s) {
-    if (s != old_leader) members.push_back(kv::endpoint_id(s, 0));
+    if (s != old_leader) members.push_back(net::endpoint_id(s, 0));
   }
   auto newc = consensus::GroupConfig::rs_max_x(members, 1, rep.config().epoch + 1);
   bool reconfigured = false;
@@ -93,8 +93,8 @@ int main() {
   std::printf("         re-encode plan old->new: %s (paper's Q' >= X rule)\n",
               consensus::to_string(consensus::plan_reencode(
                   consensus::GroupConfig::rs_max_x(
-                      {kv::endpoint_id(0, 0), kv::endpoint_id(1, 0), kv::endpoint_id(2, 0),
-                       kv::endpoint_id(3, 0), kv::endpoint_id(4, 0)},
+                      {net::endpoint_id(0, 0), net::endpoint_id(1, 0), net::endpoint_id(2, 0),
+                       net::endpoint_id(3, 0), net::endpoint_id(4, 0)},
                       1)
                       .value(),
                   rep.config())));

@@ -6,7 +6,7 @@
 // Build & run:   ./build/examples/quickstart
 #include <cstdio>
 
-#include "kv/cluster.h"
+#include "node/sim_cluster.h"
 #include "obs/metrics.h"
 #include "obs/reporter.h"
 #include "obs/trace.h"
@@ -24,20 +24,20 @@ void run_until(sim::SimWorld& world, Pred done) {
 
 uint64_t run_demo(bool rs_mode) {
   sim::SimWorld world(2024);
-  kv::SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_servers = 5;
   opts.rs_mode = rs_mode;  // RS-Paxos θ(3,5) vs classic full-copy Paxos
   opts.f = 1;
-  kv::SimCluster cluster(&world, opts);
+  node::SimCluster cluster(&world, opts);
   cluster.wait_for_leaders();
 
   // Periodic metrics snapshots on a node's sim-time event loop (every 100 ms
   // of sim time); the cached Prometheus text is scraped at the end of main().
-  obs::StatsReporter reporter(cluster.network().node(kv::endpoint_id(0, 0)),
+  obs::StatsReporter reporter(cluster.network().node(net::endpoint_id(0, 0)),
                               &obs::MetricsRegistry::global(), 100 * kMillis);
   reporter.start();
 
-  auto client = cluster.make_client(0);
+  auto client = cluster.make_client();
 
   // --- write ---
   Bytes value(30'000, 0x42);

@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
   opts.num_servers = kServers;
   opts.num_groups = kGroups;
   opts.f = 1;  // theta(3,5) per group
+  opts.spread_leaders = true;  // group g first led by server g % kServers
   opts.data_dir = dir.string();
   opts.replica.heartbeat_interval = 30 * kMillis;
   opts.replica.election_timeout_min = 300 * kMillis;

@@ -6,7 +6,7 @@
 // Build & run:   ./build/examples/wan_backup
 #include <cstdio>
 
-#include "kv/cluster.h"
+#include "node/sim_cluster.h"
 #include "util/histogram.h"
 
 using namespace rspaxos;
@@ -21,7 +21,7 @@ struct Outcome {
 
 Outcome run_backup(bool rs_mode) {
   sim::SimWorld world(555);
-  kv::SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_servers = 5;
   opts.rs_mode = rs_mode;
   opts.f = 1;
@@ -31,17 +31,17 @@ Outcome run_backup(bool rs_mode) {
   opts.replica.election_timeout_min = 1200 * kMillis;
   opts.replica.election_timeout_max = 2000 * kMillis;
   opts.replica.lease_duration = 1000 * kMillis;
-  kv::SimCluster cluster(&world, opts);
+  node::SimCluster cluster(&world, opts);
   cluster.wait_for_leaders();
 
   // Client co-located with the leader site (zero-cost link), like a backup
   // agent running in the primary datacenter.
   sim::LinkParams free_link{0, 0, 0.0, 0.0, 1e15};
   for (int s = 0; s < 5; ++s) {
-    cluster.network().set_link(kv::kClientBase, kv::endpoint_id(s, 0), free_link);
-    cluster.network().set_link(kv::endpoint_id(s, 0), kv::kClientBase, free_link);
+    cluster.network().set_link(net::kClientBase, net::endpoint_id(s, 0), free_link);
+    cluster.network().set_link(net::endpoint_id(s, 0), net::kClientBase, free_link);
   }
-  auto client = cluster.make_client(0);
+  auto client = cluster.make_client();
 
   Outcome out{};
   uint64_t net0 = cluster.total_network_bytes();

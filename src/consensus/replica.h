@@ -208,6 +208,7 @@ class Replica final : public MessageHandler {
   Slot commit_index() const { return commit_index_; }
   Slot last_applied() const { return applied_index_; }
   const GroupConfig& config() const { return cfg_; }
+  const ReplicaOptions& options() const { return opts_; }
   ReplicaStats stats() const;
   Ballot current_ballot() const { return ballot_; }
   /// Lowest slot still present in the (durable) log; slots below it live only

@@ -7,7 +7,7 @@
 //
 // kGroupStride bounds groups-per-host; ids at or above kClientBase are
 // client endpoints and never strided (each client is its own host). This
-// header is the single source of truth for that math — kv/cluster.h, the
+// header is the single source of truth for that math — node/cluster.h, the
 // TCP host demux and the sim all include it so the schemes cannot drift.
 #pragma once
 
@@ -27,7 +27,6 @@ inline NodeId endpoint_id(int server, int group) {
   return static_cast<NodeId>(server) * kGroupStride + static_cast<NodeId>(group);
 }
 inline int server_of_endpoint(NodeId id) { return static_cast<int>(id / kGroupStride); }
-inline int group_of_endpoint(NodeId id) { return static_cast<int>(id % kGroupStride); }
 
 /// Maps endpoint NodeIds onto hosts. The default (stride 0) is the identity
 /// map — every endpoint is its own host — which preserves the historical

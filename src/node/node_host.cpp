@@ -20,18 +20,16 @@ NodeHost::NodeHost(int server, uint32_t num_groups, EndpointFn endpoints,
       wals_(std::move(wals)), snap_fn_(std::move(snaps)), config_fn_(std::move(configs)),
       opts_(std::move(opts)), bootstrap_fn_(std::move(bootstrap)),
       post_fn_(std::move(post)) {
+  if (!post_fn_) post_fn_ = [](NodeContext*, std::function<void()> fn) { fn(); };
   assert(num_groups_ >= 1);
   assert(!wals_.empty());
   // More reactors than groups would leave reactors with no work and no
-  // endpoint to run their watchdog on; callers clamp (see TcpCluster).
+  // endpoint to run their watchdog on; finalize_cluster_options() clamps.
   assert(num_reactors() <= num_groups_);
   const uint32_t R = num_reactors();
   for (uint32_t r = 0; r < R; ++r) {
     assert(wals_[r] != nullptr);
-    // Reactor r hosts groups r, r+R, r+2R, ... — its WAL needs that many
-    // group views.
-    [[maybe_unused]] uint32_t local = (num_groups_ - r + R - 1) / R;
-    assert(wals_[r]->num_groups() >= local);
+    assert(wals_[r]->num_groups() >= groups_on_reactor(num_groups_, R, r));
   }
   queue_samplers_.resize(R);
   boards_.resize(R);
@@ -41,13 +39,6 @@ NodeHost::NodeHost(int server, uint32_t num_groups, EndpointFn endpoints,
   shard_writes_ = std::make_unique<std::atomic<uint64_t>[]>(num_shards_);
   for (uint32_t s = 0; s < num_shards_; ++s) shard_writes_[s].store(0);
 }
-
-NodeHost::NodeHost(int server, uint32_t num_groups, EndpointFn endpoints,
-                   storage::MuxWal* wal, SnapshotFn snaps, ConfigFn configs,
-                   NodeHostOptions opts, BootstrapFn bootstrap, PostFn post)
-    : NodeHost(server, num_groups, std::move(endpoints),
-               std::vector<storage::MuxWal*>{wal}, std::move(snaps), std::move(configs),
-               std::move(opts), std::move(bootstrap), std::move(post)) {}
 
 NodeHost::~NodeHost() { stop(); }
 
@@ -62,12 +53,10 @@ void NodeHost::start() {
   // Monitors are built before the per-group servers so their overload
   // verdicts (health watermarks -> admission control) can be fed to every
   // KvServer of their reactor; probes only arm at the end of start().
-  if (opts_.watchdog) {
-    health_.resize(R);
-    for (uint32_t r = 0; r < R; ++r) {
-      health_[r] = std::make_unique<obs::HealthMonitor>(static_cast<uint32_t>(server_),
-                                                        opts_.health, r);
-    }
+  health_.resize(R);
+  for (uint32_t r = 0; r < R; ++r) {
+    health_[r] = std::make_unique<obs::HealthMonitor>(static_cast<uint32_t>(server_),
+                                                      opts_.health, r);
   }
   endpoints_.resize(num_groups_, nullptr);
   servers_.resize(num_groups_);
@@ -86,57 +75,41 @@ void NodeHost::start() {
                                                  ropts, kv_opts,
                                                  snap_fn_ ? snap_fn_(g) : nullptr);
     kv::KvServer* srv = servers_[g].get();
-    if (!health_.empty()) srv->set_health(health_[r].get());
+    srv->set_health(health_[r].get());
     srv->set_routing(routing_.get());
     srv->set_shard_write_hook([this](uint32_t shard) {
       if (shard < num_shards_) {
         shard_writes_[shard].fetch_add(1, std::memory_order_relaxed);
       }
     });
-    auto bring_up = [ctx, srv] {
+    post_fn_(ctx, [ctx, srv] {
       ctx->set_handler(srv);
       srv->start();
-    };
-    if (post_fn_) {
-      post_fn_(ctx, std::move(bring_up));
-    } else {
-      bring_up();
-    }
+    });
   }
 
-  if (!health_.empty()) {
-    for (uint32_t r = 0; r < R; ++r) {
-      if (queue_samplers_[r]) health_[r]->set_queue_sampler(queue_samplers_[r]);
-      // Each probe republishes its reactor's board slice so any-thread
-      // readers (the admin server) always have a recent document even if a
-      // loop later wedges.
-      health_[r]->set_on_probe([this, r] { refresh_board(r); });
-      // The flusher pushes fsync latencies in from its own thread; the
-      // monitor outlives traffic (reset in stop()).
-      wals_[r]->set_flush_observer(
-          [h = health_[r].get()](int64_t us) { h->record_fsync(us); });
-      // Group r is the first group of reactor r: its endpoint runs on that
-      // reactor's loop.
-      NodeContext* ctxr = endpoints_[r];
-      obs::HealthMonitor* hm = health_[r].get();
-      auto arm = [hm, ctxr] { hm->start(ctxr); };
-      if (post_fn_) {
-        post_fn_(ctxr, std::move(arm));
-      } else {
-        arm();
-      }
-    }
+  for (uint32_t r = 0; r < R; ++r) {
+    if (queue_samplers_[r]) health_[r]->set_queue_sampler(queue_samplers_[r]);
+    // Each probe republishes its reactor's board slice so any-thread
+    // readers (the admin server) always have a recent document even if a
+    // loop later wedges.
+    health_[r]->set_on_probe([this, r] { refresh_board(r); });
+    // The flusher pushes fsync latencies in from its own thread; the
+    // monitor outlives traffic (reset in stop()).
+    wals_[r]->set_flush_observer(
+        [h = health_[r].get()](int64_t us) { h->record_fsync(us); });
+    // Group r is the first group of reactor r: its endpoint runs on that
+    // reactor's loop.
+    NodeContext* ctxr = endpoints_[r];
+    post_fn_(ctxr, [hm = health_[r].get(), ctxr] { hm->start(ctxr); });
   }
 }
 
 void NodeHost::stop() {
+  // Monitors exist only after start(), which also installed the observers.
+  for (auto& h : health_) h->stop();
   if (!health_.empty()) {
-    for (auto& h : health_) {
-      if (h) h->stop();
-    }
-    for (storage::MuxWal* w : wals_) {
-      if (w != nullptr) w->set_flush_observer(nullptr);
-    }
+    for (storage::MuxWal* w : wals_) w->set_flush_observer(nullptr);
   }
   for (NodeContext* ctx : endpoints_) {
     if (ctx != nullptr) ctx->set_handler(nullptr);
@@ -259,17 +232,6 @@ std::string NodeHost::routing_json() const {
   return out;
 }
 
-std::string NodeHost::status_json() const {
-  // Fresh document: rebuild every reactor's slice inline. Only legal when
-  // the calling thread owns every loop (the single-threaded simulator, or a
-  // single-reactor host's loop thread); multi-reactor TCP assemblies post
-  // refresh_board(r) to each loop and read status_snapshot() instead.
-  auto* self = const_cast<NodeHost*>(this);
-  for (uint32_t r = 0; r < num_reactors(); ++r) self->refresh_board(r);
-  std::lock_guard<std::mutex> lk(board_mu_);
-  return compose_board_locked();
-}
-
 std::string NodeHost::status_snapshot() const {
   std::lock_guard<std::mutex> lk(board_mu_);
   bool any = false;
@@ -289,26 +251,23 @@ std::string NodeHost::healthz_json() const {
   out += ",\"status\":\"" + std::string(bad ? "stalled" : "ok") + "\"";
   out += ",\"reactors\":[";
   for (size_t r = 0; r < health_.size(); ++r) {
-    const obs::HealthMonitor* h = health_[r].get();
-    NodeContext* ctx = r < endpoints_.size() ? endpoints_[r] : nullptr;
-    int64_t now = ctx != nullptr ? static_cast<int64_t>(ctx->now()) : h->last_probe_us();
     if (r > 0) out += ",";
-    out += h->healthz_json(now);
+    out += health_[r]->healthz_json(health_now(r));
   }
-  out += "]";
-  out += "}";
+  out += "]}";
   return out;
 }
 
 bool NodeHost::stalled() const {
   for (size_t r = 0; r < health_.size(); ++r) {
-    const obs::HealthMonitor* h = health_[r].get();
-    if (h == nullptr) continue;
-    NodeContext* ctx = r < endpoints_.size() ? endpoints_[r] : nullptr;
-    int64_t now = ctx != nullptr ? static_cast<int64_t>(ctx->now()) : h->last_probe_us();
-    if (h->stalled(now)) return true;
+    if (health_[r]->stalled(health_now(r))) return true;
   }
   return false;
+}
+
+int64_t NodeHost::health_now(size_t r) const {
+  NodeContext* ctx = r < endpoints_.size() ? endpoints_[r] : nullptr;
+  return ctx != nullptr ? static_cast<int64_t>(ctx->now()) : health_[r]->last_probe_us();
 }
 
 }  // namespace rspaxos::node

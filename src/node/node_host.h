@@ -19,8 +19,8 @@
 //   * a per-group slot of the server's one snapshot store.
 //
 // The host is transport- and storage-agnostic: SimCluster and the real-TCP
-// TcpCluster both assemble machines through it, injecting their endpoint /
-// config / snapshot factories and one MuxWal per reactor.
+// TcpCluster both build it through build_cluster_host() (node/cluster.h),
+// injecting their endpoint / snapshot factories and one MuxWal per reactor.
 #pragma once
 
 #include <atomic>
@@ -49,7 +49,6 @@ struct NodeHostOptions {
   /// reactor, running on that reactor's first endpoint; each probe
   /// republishes the machine status board.
   obs::HealthOptions health;
-  bool watchdog = true;
   /// Key-space shards for elastic resharding (DESIGN.md §14). 0 = one shard
   /// per group (the historical frozen shard==group contract, as epoch 0 of a
   /// live routing table). More shards than groups gives migrations something
@@ -77,16 +76,18 @@ class NodeHost {
 
   /// `wals` carries one MuxWal per reactor; wals.size() IS the reactor count
   /// (clamped nowhere — callers pick R <= num_groups; extra reactors would
-  /// idle). Group g uses wals[g % R]'s group-local view g / R.
+  /// idle). Group g uses wals[g % R]'s group-local view g / R, so wals[r]
+  /// needs groups_on_reactor(num_groups, R, r) group views.
   NodeHost(int server, uint32_t num_groups, EndpointFn endpoints,
            std::vector<storage::MuxWal*> wals, SnapshotFn snaps, ConfigFn configs,
            NodeHostOptions opts, BootstrapFn bootstrap = {}, PostFn post = {});
-  /// Single-reactor convenience (the historical shape — every test and tool
-  /// that predates reactors builds through this).
-  NodeHost(int server, uint32_t num_groups, EndpointFn endpoints, storage::MuxWal* wal,
-           SnapshotFn snaps, ConfigFn configs, NodeHostOptions opts,
-           BootstrapFn bootstrap = {}, PostFn post = {});
   ~NodeHost();
+
+  /// Groups reactor r hosts under g % R placement: r, r+R, r+2R, ... below
+  /// `groups`, i.e. ceil((groups - r) / R).
+  static uint32_t groups_on_reactor(uint32_t groups, uint32_t reactors, uint32_t r) {
+    return (groups - r + reactors - 1) / reactors;
+  }
 
   NodeHost(const NodeHost&) = delete;
   NodeHost& operator=(const NodeHost&) = delete;
@@ -109,39 +110,28 @@ class NodeHost {
   NodeContext* endpoint(uint32_t g) {
     return g < endpoints_.size() ? endpoints_[g] : nullptr;
   }
-  storage::MuxWal* wal(uint32_t reactor = 0) {
-    return reactor < wals_.size() ? wals_[reactor] : nullptr;
-  }
 
   // --- introspection plane ---
 
   /// Samples the worst per-peer send-queue depth of `reactor`'s loop each
   /// health probe. Set before start().
   void set_queue_sampler(uint32_t reactor, std::function<int64_t()> fn);
-  /// Historical single-loop form: reactor 0.
-  void set_queue_sampler(std::function<int64_t()> fn) {
-    set_queue_sampler(0, std::move(fn));
-  }
 
-  /// nullptr when watchdog is disabled or before start().
+  /// Reactor `reactor`'s watchdog; nullptr before start().
   obs::HealthMonitor* health(uint32_t reactor = 0) {
     return reactor < health_.size() ? health_[reactor].get() : nullptr;
   }
 
-  /// Live per-group status document (role, ballot, commit/applied indices,
-  /// log window, snapshot barrier, owning reactor) plus per-reactor WAL and
-  /// health state and the machine placement map. Reads loop-thread-confined
-  /// replica state: call on the host's execution context only (any reactor's
-  /// loop — replica reads race-free only for groups of the calling reactor;
-  /// the board is advisory).
-  std::string status_json() const;
-  /// Last board published by a watchdog probe (empty JSON object before the
-  /// first probe). Any thread — what /status serves when the loop is too
-  /// wedged to answer a posted refresh.
+  /// Machine status document composed from the last board each reactor
+  /// published (empty JSON object before the first): per-group role, ballot,
+  /// commit/applied indices, log window, snapshot barrier and owning
+  /// reactor, plus per-reactor WAL and health state and the placement map.
+  /// Any thread — what /status serves when a loop is too wedged to answer a
+  /// posted refresh_board().
   std::string status_snapshot() const;
   /// Machine health summary: worst reactor wins — status is "stalled" if ANY
   /// reactor's watchdog says so — with every reactor's detail inlined. Any
-  /// thread. "{}" when the watchdog is disabled.
+  /// thread. "{}" before start().
   std::string healthz_json() const;
   /// True when any reactor's watchdog currently judges its loop stalled.
   bool stalled() const;
@@ -180,6 +170,9 @@ class NodeHost {
     int64_t now_us = 0;
   };
   std::string compose_board_locked() const;  // board_mu_ held
+  /// Reactor r's clock for health verdicts: its loop's now(), or the last
+  /// probe time once stop() detached the endpoints.
+  int64_t health_now(size_t r) const;
 
   int server_;
   uint32_t num_groups_;

@@ -1,22 +1,16 @@
-// SimCluster lives header-wise at kv/cluster.h (historical include path) but
-// is assembled here, with the rest of the node-host layer it builds on.
-#include "kv/cluster.h"
+#include "node/sim_cluster.h"
 
-#include <algorithm>
 #include <cassert>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "net/routing.h"
 #include "util/logging.h"
 
-namespace rspaxos::kv {
-
-using consensus::GroupConfig;
+namespace rspaxos::node {
 
 SimCluster::SimCluster(sim::SimWorld* world, SimClusterOptions opts)
-    : world_(world), opts_(opts), network_(world) {
-  assert(opts_.num_servers >= 1 && opts_.num_groups >= 1);
-  opts_.reactors = std::max(1, std::min(opts_.reactors, opts_.num_groups));
+    : world_(world), opts_(std::move(opts)), network_(world) {
+  [[maybe_unused]] Status st = finalize_cluster_options(opts_);
+  assert(st.is_ok());
   const int R = opts_.reactors;
   network_.set_default_link(opts_.link);
   disks_.reserve(static_cast<size_t>(opts_.num_servers));
@@ -29,145 +23,39 @@ SimCluster::SimCluster(sim::SimWorld* world, SimClusterOptions opts)
   snaps_.resize(static_cast<size_t>(opts_.num_servers) *
                 static_cast<size_t>(opts_.num_groups));
   alive_.assign(static_cast<size_t>(opts_.num_servers), true);
-  admins_.resize(static_cast<size_t>(opts_.num_servers));
   for (int s = 0; s < opts_.num_servers; ++s) {
     for (int r = 0; r < R; ++r) {
-      // Reactor r's log holds its ceil((G - r) / R) groups; all reactors of
-      // a machine share its one disk, so contention is modeled — only the
-      // one-flush-in-flight-per-log serialization is gone.
-      uint32_t local_groups = (static_cast<uint32_t>(opts_.num_groups - r) +
-                               static_cast<uint32_t>(R) - 1) /
-                              static_cast<uint32_t>(R);
+      // All reactors of a machine share its one disk, so contention is
+      // modeled — only the one-flush-in-flight-per-log serialization is gone.
       wals_[widx(s, r)] = std::make_unique<storage::SimWal>(
-          disks_[static_cast<size_t>(s)].get(), opts_.wal_retain, local_groups);
+          disks_[static_cast<size_t>(s)].get(), opts_.wal_retain,
+          NodeHost::groups_on_reactor(static_cast<uint32_t>(opts_.num_groups),
+                                      static_cast<uint32_t>(R), static_cast<uint32_t>(r)));
     }
     for (int g = 0; g < opts_.num_groups; ++g) {
       snaps_[idx(s, g)] = std::make_unique<snapshot::SimSnapshotStore>(
           disks_[static_cast<size_t>(s)].get());
     }
-    build_host(s, /*initial=*/true);
+    build_host(s, /*restart=*/false);
   }
 }
 
-GroupConfig SimCluster::group_config(int group) const {
-  std::vector<NodeId> members;
-  members.reserve(static_cast<size_t>(opts_.num_servers));
-  for (int s = 0; s < opts_.num_servers; ++s) members.push_back(endpoint_id(s, group));
-  if (opts_.rs_mode) {
-    auto cfg = GroupConfig::rs_max_x(std::move(members), opts_.f);
-    assert(cfg.is_ok());
-    GroupConfig c = std::move(cfg).value();
-    if (opts_.code != ec::CodeId::kRs) {
-      c.code = opts_.code;
-      // Misconfigured geometry (e.g. lrc whose any-subset-decodable exceeds
-      // a quorum) is a test-author error; fail loudly.
-      assert(c.validate().is_ok());
-    }
-    return c;
-  }
-  return GroupConfig::majority(std::move(members));
-}
-
-void SimCluster::build_host(int s, bool initial) {
-  node::NodeHostOptions hopts;
-  hopts.replica = opts_.replica;
-  hopts.kv = opts_.kv;
-  hopts.health = opts_.health;
-  hopts.watchdog = opts_.watchdog;
-  hopts.num_shards = static_cast<uint32_t>(std::max(0, opts_.num_shards));
-  node::NodeHost::BootstrapFn boot;  // restarts never campaign immediately
-  if (initial) {
-    if (opts_.spread_leaders) {
-      int servers = opts_.num_servers;
-      boot = [s, servers](uint32_t g) { return static_cast<int>(g) % servers == s; };
-    } else if (s == 0) {
-      boot = [](uint32_t) { return true; };
-    }
-  }
+void SimCluster::build_host(int s, bool restart) {
   std::vector<storage::MuxWal*> host_wals;
   for (int r = 0; r < opts_.reactors; ++r) host_wals.push_back(wals_[widx(s, r)].get());
   auto& host = hosts_[static_cast<size_t>(s)];
-  host = std::make_unique<node::NodeHost>(
-      s, static_cast<uint32_t>(opts_.num_groups),
-      [this](NodeId id) -> NodeContext* { return network_.node(id); },
-      std::move(host_wals),
-      [this, s](uint32_t g) -> snapshot::SnapshotStore* {
+  // No PostFn: the sim is single-threaded, so inline bring-up is safe.
+  host = build_cluster_host(
+      opts_, s, restart, [this](NodeId id) -> NodeContext* { return network_.node(id); },
+      std::move(host_wals), [this, s](uint32_t g) -> snapshot::SnapshotStore* {
         return snaps_[idx(s, static_cast<int>(g))].get();
-      },
-      [this](uint32_t g) { return group_config(static_cast<int>(g)); }, hopts,
-      std::move(boot));  // PostFn empty: the sim is single-threaded, inline is safe
+      });
   host->start();
   if (opts_.balancer) {
     auto& bal = balancers_[static_cast<size_t>(s)];
-    bal = std::make_unique<node::Balancer>(host.get(), opts_.balancer_opts);
+    bal = std::make_unique<Balancer>(host.get(), opts_.balancer_opts);
     bal->start();
   }
-  if (opts_.admin) start_admin(s);
-}
-
-void SimCluster::start_admin(int s) {
-  auto admin = std::make_unique<obs::AdminServer>();
-  node::NodeHost* host = hosts_[static_cast<size_t>(s)].get();
-  admin->route("/metrics", [](const obs::AdminRequest&) {
-    obs::AdminResponse r;
-    r.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    r.body = obs::MetricsRegistry::global().to_prometheus();
-    return r;
-  });
-  // Unlike TcpCluster, /status never posts into the host: the sim loop only
-  // advances when the test pumps it, so the admin thread serves the board
-  // published by the last probe instead.
-  admin->route("/status", [host](const obs::AdminRequest&) {
-    obs::AdminResponse r;
-    r.content_type = "application/json";
-    r.body = host->status_snapshot();
-    return r;
-  });
-  // Stamped with each monitor's last probe sim time, not a live now():
-  // reading the sim clock from the admin thread would race the sim thread,
-  // and halted sim time must not read as a stall anyway. Worst reactor wins,
-  // matching NodeHost::healthz_json's aggregate.
-  admin->route("/healthz", [host](const obs::AdminRequest&) {
-    obs::AdminResponse r;
-    r.content_type = "application/json";
-    std::string inner;
-    bool bad = false;
-    for (uint32_t rr = 0; rr < host->num_reactors(); ++rr) {
-      obs::HealthMonitor* h = host->health(rr);
-      if (h == nullptr) {
-        r.body = "{}";
-        return r;
-      }
-      if (h->stalled(h->last_probe_us())) bad = true;
-      if (rr > 0) inner += ",";
-      inner += h->healthz_json(h->last_probe_us());
-    }
-    r.body = "{\"server\":" + std::to_string(host->server_index()) + ",\"status\":\"" +
-             (bad ? "stalled" : "ok") + "\",\"reactors\":[" + inner + "]}";
-    return r;
-  });
-  admin->route("/traces/recent", [](const obs::AdminRequest& req) {
-    obs::AdminResponse r;
-    r.content_type = "application/json";
-    r.body = req.query == "slow" ? obs::Tracer::global().slow_json(32)
-                                 : obs::Tracer::global().recent_json(32);
-    return r;
-  });
-  // Routing view + per-shard write counters: published from the sim thread's
-  // apply path into the thread-safe RoutingView / atomic counters, so the
-  // admin thread may read them directly.
-  admin->route("/routing", [host](const obs::AdminRequest&) {
-    obs::AdminResponse r;
-    r.content_type = "application/json";
-    r.body = host->routing_json();
-    return r;
-  });
-  Status st = admin->start({});
-  if (!st.is_ok()) {
-    RSP_WARN << "sim admin server for s" << s << " failed: " << st.to_string();
-    return;
-  }
-  admins_[static_cast<size_t>(s)] = std::move(admin);
 }
 
 void SimCluster::wait_for_leaders(DurationMicros max_wait) {
@@ -186,38 +74,18 @@ void SimCluster::wait_for_leaders(DurationMicros max_wait) {
   RSP_WARN << "wait_for_leaders: timed out";
 }
 
-RoutingTable SimCluster::routing() const {
-  RoutingTable rt;
-  rt.group_members.resize(static_cast<size_t>(opts_.num_groups));
-  for (int g = 0; g < opts_.num_groups; ++g) {
-    for (int s = 0; s < opts_.num_servers; ++s) {
-      rt.group_members[static_cast<size_t>(g)].push_back(endpoint_id(s, g));
-    }
-  }
-  // Fresh clients boot on the epoch-0 identity map and self-heal from
-  // kWrongShard redirects / piggybacked epochs if shards have since moved.
-  uint32_t shards = opts_.num_shards > 0 ? static_cast<uint32_t>(opts_.num_shards)
-                                         : static_cast<uint32_t>(opts_.num_groups);
-  rt.map = ShardMap::identity(shards, static_cast<uint32_t>(opts_.num_groups));
-  return rt;
-}
-
-std::unique_ptr<KvClient> SimCluster::make_client(int client_idx, KvClient::Options copts) {
-  (void)client_idx;
-  sim::SimNode* node = network_.node(kClientBase + static_cast<NodeId>(next_client_++));
-  auto client = std::make_unique<KvClient>(node, routing(), copts);
+std::unique_ptr<kv::KvClient> SimCluster::make_client(kv::KvClient::Options copts) {
+  sim::SimNode* node = network_.node(net::kClientBase + static_cast<NodeId>(next_client_++));
+  auto client = std::make_unique<kv::KvClient>(node, routing(), copts);
   node->set_handler(client.get());
   return client;
 }
 
 void SimCluster::crash_server(int s) {
   alive_[static_cast<size_t>(s)] = false;
-  // Admin handlers and the balancer hold the host pointer; kill both before
-  // the host.
-  admins_[static_cast<size_t>(s)].reset();
-  balancers_[static_cast<size_t>(s)].reset();
+  balancers_[static_cast<size_t>(s)].reset();  // holds the host pointer
   for (int g = 0; g < opts_.num_groups; ++g) {
-    network_.crash(endpoint_id(s, g));
+    network_.crash(net::endpoint_id(s, g));
     snaps_[idx(s, g)]->drop_unflushed();  // in-flight snapshot saves gone
   }
   hosts_[static_cast<size_t>(s)].reset();  // volatile state gone (all groups)
@@ -228,16 +96,16 @@ void SimCluster::crash_server(int s) {
 void SimCluster::restart_server(int s) {
   alive_[static_cast<size_t>(s)] = true;
   for (int g = 0; g < opts_.num_groups; ++g) {
-    network_.restart(endpoint_id(s, g));
+    network_.restart(net::endpoint_id(s, g));
   }
-  build_host(s, /*initial=*/false);  // WAL replay happens in start()
+  build_host(s, /*restart=*/true);  // WAL replay happens in start()
 }
 
 int SimCluster::leader_server_of(int group) const {
   for (int s = 0; s < opts_.num_servers; ++s) {
     if (!alive_[static_cast<size_t>(s)]) continue;
     const auto& host = hosts_[static_cast<size_t>(s)];
-    KvServer* srv = host ? host->server(static_cast<uint32_t>(group)) : nullptr;
+    kv::KvServer* srv = host ? host->server(static_cast<uint32_t>(group)) : nullptr;
     if (srv && srv->replica().is_leader()) return s;
   }
   return -1;
@@ -257,4 +125,4 @@ uint64_t SimCluster::total_flush_ops() const {
   return total;
 }
 
-}  // namespace rspaxos::kv
+}  // namespace rspaxos::node

@@ -7,7 +7,6 @@
 #include <memory>
 #include <thread>
 
-#include "consensus/config.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -16,12 +15,7 @@ namespace rspaxos::node {
 namespace fs = std::filesystem;
 
 StatusOr<std::unique_ptr<TcpCluster>> TcpCluster::start(TcpClusterOptions opts) {
-  if (opts.num_servers < 1 || opts.num_groups < 1) {
-    return Status::invalid("tcp cluster: need at least one server and one group");
-  }
-  if (opts.num_groups >= net::kGroupStride) {
-    return Status::invalid("tcp cluster: num_groups exceeds kGroupStride");
-  }
+  RSP_RETURN_IF_ERROR(finalize_cluster_options(opts));
   if (opts.data_dir.empty()) {
     return Status::invalid("tcp cluster: data_dir is required");
   }
@@ -32,24 +26,13 @@ StatusOr<std::unique_ptr<TcpCluster>> TcpCluster::start(TcpClusterOptions opts) 
 
 Status TcpCluster::boot() {
   const int servers = opts_.num_servers;
-  const uint32_t groups = opts_.num_groups;
+  const uint32_t groups = static_cast<uint32_t>(opts_.num_groups);
+  const int R = opts_.reactors;
 
-  // Resolve the reactor count: 0 = auto-scale to the machine, always clamped
-  // to [1, groups] (an empty reactor would have no endpoint to run on).
-  int R = opts_.reactors;
-  if (R <= 0) {
-    R = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  }
-  R = std::max(1, std::min(R, static_cast<int>(groups)));
-  reactors_ = R;
-
-  if (opts_.ec_pool_threads >= 0) {
-    int threads = opts_.ec_pool_threads;
-    if (threads == 0) {
-      threads = static_cast<int>(std::min(4u, std::max(1u, std::thread::hardware_concurrency())));
-    }
-    ec_pool_ = std::make_unique<ec::EcWorkerPool>(threads);
-  }
+  // min(4, cores) workers, each started on the first submission that finds
+  // the running ones busy.
+  ec_pool_ = std::make_unique<ec::EcWorkerPool>(
+      static_cast<int>(std::min(4u, std::max(1u, std::thread::hardware_concurrency()))));
 
   auto ports =
       net::TcpTransport::free_ports(static_cast<size_t>(servers * R + opts_.num_clients));
@@ -94,14 +77,13 @@ Status TcpCluster::boot() {
     std::vector<storage::MuxWal*> host_wals;
     for (int r = 0; r < R; ++r) {
       // Reactor 0 keeps the bare "wal" name so single-reactor data dirs
-      // reopen unchanged; reactor r's log holds its ceil((G - r) / R) groups.
+      // reopen unchanged.
       std::string wal_name = r == 0 ? "wal" : "wal.r" + std::to_string(r);
-      uint32_t local_groups =
-          (groups - static_cast<uint32_t>(r) + static_cast<uint32_t>(R) - 1) /
-          static_cast<uint32_t>(R);
-      auto wal = storage::FileWal::open((dir / wal_name).string(),
-                                        opts_.wal_group_commit_window_us,
-                                        opts_.wal_segment_bytes, local_groups);
+      auto wal = storage::FileWal::open(
+          (dir / wal_name).string(), opts_.wal_group_commit_window_us,
+          storage::FileWal::kDefaultSegmentBytes,
+          NodeHost::groups_on_reactor(groups, static_cast<uint32_t>(R),
+                                      static_cast<uint32_t>(r)));
       if (!wal.is_ok()) return wal.status();
       wals_[static_cast<size_t>(s * R + r)] = std::move(wal).value();
       host_wals.push_back(wals_[static_cast<size_t>(s * R + r)].get());
@@ -110,23 +92,14 @@ Status TcpCluster::boot() {
     if (!snap.is_ok()) return snap.status();
     snaps_[static_cast<size_t>(s)] = std::move(snap).value();
 
-    NodeHostOptions hopts;
-    hopts.replica = opts_.replica;
-    hopts.replica.ec_pool = ec_pool_.get();
-    hopts.kv = opts_.kv;
-    hopts.health = opts_.health;
-    hopts.watchdog = opts_.watchdog;
-    hopts.num_shards = opts_.num_shards;
-    hosts_[static_cast<size_t>(s)] = std::make_unique<NodeHost>(
-        s, groups, [this](NodeId id) -> NodeContext* { return endpoints_.at(id); },
+    hosts_[static_cast<size_t>(s)] = build_cluster_host(
+        opts_, s, /*restart=*/false,
+        [this](NodeId id) -> NodeContext* { return endpoints_.at(id); },
         std::move(host_wals),
         [this, s](uint32_t g) -> snapshot::SnapshotStore* {
           return snaps_[static_cast<size_t>(s)]->group(g);
         },
-        [this](uint32_t g) { return group_config(g); }, hopts,
-        [this, s](uint32_t g) {
-          return opts_.spread_leaders ? static_cast<int>(g) % opts_.num_servers == s : s == 0;
-        },
+        ec_pool_.get(),
         // Handler installation + Replica::start must run on the host's loop
         // thread: peers may deliver the instant the handler is visible.
         [](NodeContext* ctx, std::function<void()> fn) { ctx->set_timer(0, std::move(fn)); });
@@ -142,15 +115,6 @@ Status TcpCluster::boot() {
     hosts_[static_cast<size_t>(s)]->start();
   }
 
-  if (opts_.balancer) {
-    balancers_.resize(static_cast<size_t>(servers));
-    for (int s = 0; s < servers; ++s) {
-      balancers_[static_cast<size_t>(s)] =
-          std::make_unique<Balancer>(hosts_[static_cast<size_t>(s)].get(), opts_.balancer_opts);
-      balancers_[static_cast<size_t>(s)]->start();
-    }
-  }
-
   if (opts_.admin) {
     admins_.resize(static_cast<size_t>(servers));
     for (int s = 0; s < servers; ++s) {
@@ -163,6 +127,12 @@ Status TcpCluster::boot() {
 Status TcpCluster::start_admin(int s) {
   auto admin = std::make_unique<obs::AdminServer>();
   NodeHost* host = hosts_[static_cast<size_t>(s)].get();
+  auto json = [](std::string body) {
+    obs::AdminResponse r;
+    r.content_type = "application/json";
+    r.body = std::move(body);
+    return r;
+  };
 
   // /metrics scrapes the process-global registry: one process hosts every
   // server in these assemblies, so each admin port serves the same families
@@ -174,10 +144,8 @@ Status TcpCluster::start_admin(int s) {
     return r;
   });
 
-  admin->route("/healthz", [host](const obs::AdminRequest&) {
-    obs::AdminResponse r;
-    r.content_type = "application/json";
-    r.body = host->healthz_json();
+  admin->route("/healthz", [host, json](const obs::AdminRequest&) {
+    obs::AdminResponse r = json(host->healthz_json());
     if (host->stalled()) r.status = 503;
     return r;
   });
@@ -190,8 +158,7 @@ Status TcpCluster::start_admin(int s) {
   for (uint32_t r = 0; r < host->num_reactors(); ++r) {
     reps.push_back(endpoints_.at(net::endpoint_id(s, static_cast<int>(r))));
   }
-  admin->route("/status", [host, reps](const obs::AdminRequest&) {
-    std::vector<std::shared_ptr<std::promise<void>>> ps;
+  admin->route("/status", [host, reps, json](const obs::AdminRequest&) {
     std::vector<std::future<void>> futs;
     for (uint32_t r = 0; r < reps.size(); ++r) {
       auto p = std::make_shared<std::promise<void>>();
@@ -200,32 +167,21 @@ Status TcpCluster::start_admin(int s) {
         host->refresh_board(r);
         p->set_value();
       });
-      ps.push_back(std::move(p));
     }
     auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(250);
     for (auto& f : futs) f.wait_until(deadline);
-    obs::AdminResponse r;
-    r.content_type = "application/json";
-    r.body = host->status_snapshot();
-    return r;
+    return json(host->status_snapshot());
   });
 
-  admin->route("/traces/recent", [](const obs::AdminRequest& req) {
-    obs::AdminResponse r;
-    r.content_type = "application/json";
-    r.body = req.query == "slow" ? obs::Tracer::global().slow_json(32)
-                                 : obs::Tracer::global().recent_json(32);
-    return r;
+  admin->route("/traces/recent", [json](const obs::AdminRequest& req) {
+    return json(req.query == "slow" ? obs::Tracer::global().slow_json(32)
+                                    : obs::Tracer::global().recent_json(32));
   });
 
   // Routing view + per-shard write counters (RoutingView and the counters
   // are thread-safe by construction; no loop posting needed).
-  admin->route("/routing", [host](const obs::AdminRequest&) {
-    obs::AdminResponse r;
-    r.content_type = "application/json";
-    r.body = host->routing_json();
-    return r;
-  });
+  admin->route("/routing",
+               [host, json](const obs::AdminRequest&) { return json(host->routing_json()); });
 
   obs::AdminServer::Options aopts;
   if (opts_.admin_base_port != 0) {
@@ -249,17 +205,11 @@ TcpCluster::~TcpCluster() {
   for (auto& a : admins_) {
     if (a) a->stop();
   }
-  // Balancer ticks run on reactor-0 loops and touch host state; quiesce them
-  // while the loops are still alive (a late-firing timer sees the dead flag).
-  for (auto& b : balancers_) {
-    if (b) b->stop();
-  }
   for (auto& h : hosts_) {
     if (h) h->stop();
   }
   ec_pool_.reset();
   if (transport_) transport_->shutdown();
-  balancers_.clear();
   hosts_.clear();
   wals_.clear();
   transport_.reset();
@@ -269,47 +219,6 @@ TcpCluster::~TcpCluster() {
 net::TcpNode* TcpCluster::endpoint(int s, uint32_t g) {
   auto it = endpoints_.find(net::endpoint_id(s, static_cast<int>(g)));
   return it != endpoints_.end() ? it->second : nullptr;
-}
-
-consensus::GroupConfig TcpCluster::group_config(uint32_t g) const {
-  std::vector<NodeId> members;
-  members.reserve(static_cast<size_t>(opts_.num_servers));
-  for (int s = 0; s < opts_.num_servers; ++s) {
-    members.push_back(net::endpoint_id(s, static_cast<int>(g)));
-  }
-  if (opts_.rs_mode) {
-    auto cfg = consensus::GroupConfig::rs_max_x(std::move(members), opts_.f);
-    if (cfg.is_ok()) {
-      consensus::GroupConfig c = std::move(cfg).value();
-      if (opts_.code != ec::CodeId::kRs) {
-        c.code = opts_.code;
-        if (!c.validate().is_ok()) c.code = ec::CodeId::kRs;
-      }
-      return c;
-    }
-    // Too few servers for the requested f: degrade like SimCluster's callers
-    // would — majority quorums over the same members.
-    members.clear();
-    for (int s = 0; s < opts_.num_servers; ++s) {
-      members.push_back(net::endpoint_id(s, static_cast<int>(g)));
-    }
-  }
-  return consensus::GroupConfig::majority(std::move(members));
-}
-
-kv::RoutingTable TcpCluster::routing() const {
-  kv::RoutingTable rt;
-  rt.group_members.resize(opts_.num_groups);
-  for (uint32_t g = 0; g < opts_.num_groups; ++g) {
-    for (int s = 0; s < opts_.num_servers; ++s) {
-      rt.group_members[g].push_back(net::endpoint_id(s, static_cast<int>(g)));
-    }
-  }
-  // Fresh clients boot on the epoch-0 identity map and self-heal from
-  // kWrongShard redirects / piggybacked epochs if shards have since moved.
-  uint32_t shards = opts_.num_shards != 0 ? opts_.num_shards : opts_.num_groups;
-  rt.map = kv::ShardMap::identity(shards, opts_.num_groups);
-  return rt;
 }
 
 StatusOr<net::TcpNode*> TcpCluster::start_client() {

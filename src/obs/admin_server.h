@@ -55,7 +55,6 @@ class AdminServer {
 
   /// Binds, listens and starts the serving thread.
   Status start(Options opts);
-  Status start() { return start(Options()); }
   /// Stops the thread and closes every socket. Idempotent.
   void stop();
 

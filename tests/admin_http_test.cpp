@@ -112,6 +112,7 @@ struct ClusterFixture {
     // Two reactors (one group each): scrapes must compose per-reactor boards
     // and aggregate worst-reactor health, not just read one loop's state.
     opts.reactors = 2;
+    opts.spread_leaders = true;
     opts.f = 1;
     opts.rs_mode = false;  // 3 servers: classic majority quorums
     opts.data_dir = dir.string();

@@ -3,14 +3,14 @@
 // ordering vs consistent reads, and deletes inside batches.
 #include <gtest/gtest.h>
 
-#include "kv/cluster.h"
+#include "node/sim_cluster.h"
 
 namespace rspaxos::kv {
 namespace {
 
 struct BatchFixture {
   sim::SimWorld world{21};
-  SimCluster cluster;
+  node::SimCluster cluster;
   std::unique_ptr<KvClient> client;
 
   explicit BatchFixture(DurationMicros window = 5 * kMillis)
@@ -18,11 +18,11 @@ struct BatchFixture {
     cluster.wait_for_leaders();
     KvClient::Options copts;
     copts.request_timeout = 500 * kMillis;
-    client = cluster.make_client(0, copts);
+    client = cluster.make_client(copts);
   }
 
-  static SimClusterOptions options(DurationMicros window) {
-    SimClusterOptions o;
+  static node::SimClusterOptions options(DurationMicros window) {
+    node::SimClusterOptions o;
     o.replica.heartbeat_interval = 20 * kMillis;
     o.replica.election_timeout_min = 150 * kMillis;
     o.replica.election_timeout_max = 300 * kMillis;
@@ -173,7 +173,7 @@ TEST(Batching, ConsistentReadFlushesTheBatch) {
   f.client->put("flush-k", to_bytes("v"), [&](Status) { put_acked = true; });
   // Immediately issue a consistent read from another client; it must flush
   // the queued batch and observe the value.
-  auto reader = f.cluster.make_client(1);
+  auto reader = f.cluster.make_client();
   std::optional<StatusOr<Bytes>> read;
   reader->consistent_get("flush-k", [&](StatusOr<Bytes> r) { read = std::move(r); });
   ASSERT_TRUE(f.run_until([&] { return read.has_value() && put_acked; }));

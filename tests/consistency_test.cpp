@@ -4,14 +4,14 @@
 // §3.1 safety guarantees.
 #include <gtest/gtest.h>
 
-#include "kv/cluster.h"
+#include "node/sim_cluster.h"
 
 namespace rspaxos::kv {
 namespace {
 
 struct Fixture {
   sim::SimWorld world;
-  SimCluster cluster;
+  node::SimCluster cluster;
   std::unique_ptr<KvClient> client;
 
   explicit Fixture(uint64_t seed = 11, int groups = 1)
@@ -19,11 +19,11 @@ struct Fixture {
     cluster.wait_for_leaders();
     KvClient::Options copts;
     copts.request_timeout = 400 * kMillis;
-    client = cluster.make_client(0, copts);
+    client = cluster.make_client(copts);
   }
 
-  static SimClusterOptions options(int groups) {
-    SimClusterOptions o;
+  static node::SimClusterOptions options(int groups) {
+    node::SimClusterOptions o;
     o.num_groups = groups;
     o.replica.heartbeat_interval = 20 * kMillis;
     o.replica.election_timeout_min = 150 * kMillis;
@@ -90,7 +90,7 @@ TEST(Consistency, MonotonicReadsWhileWriting) {
   };
   write_next();
 
-  auto reader = f.cluster.make_client(1);
+  auto reader = f.cluster.make_client();
   std::vector<int> observed;
   bool reader_stop = false;
   std::function<void()> read_next = [&] {
@@ -177,7 +177,7 @@ TEST(Consistency, ConcurrentWritersConverge) {
   std::vector<std::unique_ptr<KvClient>> writers;
   std::vector<bool> acked(kWriters, false);
   for (int w = 0; w < kWriters; ++w) {
-    writers.push_back(f.cluster.make_client(w + 1));
+    writers.push_back(f.cluster.make_client());
   }
   for (int w = 0; w < kWriters; ++w) {
     writers[static_cast<size_t>(w)]->put("contended", version_value(w),
@@ -280,9 +280,9 @@ TEST(Consistency, AtMostOneValidLeaseAtAnyInstant) {
     // rival gains one).
     int leader = f.cluster.leader_server_of(0);
     ASSERT_GE(leader, 0);
-    std::set<NodeId> a{kv::endpoint_id(leader, 0)}, b;
+    std::set<NodeId> a{net::endpoint_id(leader, 0)}, b;
     for (int s = 0; s < 5; ++s) {
-      if (s != leader) b.insert(kv::endpoint_id(s, 0));
+      if (s != leader) b.insert(net::endpoint_id(s, 0));
     }
     f.cluster.network().partition(a, b);
     for (int i = 0; i < 300; ++i) {

@@ -8,25 +8,25 @@
 
 #include <string>
 
-#include "kv/cluster.h"
+#include "node/sim_cluster.h"
 
 namespace rspaxos::kv {
 namespace {
 
 struct EcFixture {
   sim::SimWorld world;
-  SimCluster cluster;
+  node::SimCluster cluster;
   std::unique_ptr<KvClient> client;
 
-  explicit EcFixture(SimClusterOptions opts = {}, uint64_t seed = 42)
+  explicit EcFixture(node::SimClusterOptions opts = {}, uint64_t seed = 42)
       : world(seed), cluster(&world, tuned(opts)) {
     cluster.wait_for_leaders();
     KvClient::Options copts;
     copts.request_timeout = 500 * kMillis;
-    client = cluster.make_client(0, copts);
+    client = cluster.make_client(copts);
   }
 
-  static SimClusterOptions tuned(SimClusterOptions opts) {
+  static node::SimClusterOptions tuned(node::SimClusterOptions opts) {
     opts.code = ec::CodeId::kHh;
     opts.replica.heartbeat_interval = 20 * kMillis;
     opts.replica.election_timeout_min = 150 * kMillis;

@@ -7,7 +7,7 @@
 
 #include <map>
 
-#include "kv/cluster.h"
+#include "node/sim_cluster.h"
 
 namespace rspaxos::kv {
 namespace {
@@ -17,7 +17,7 @@ struct NemesisKv : ::testing::TestWithParam<uint64_t> {};
 TEST_P(NemesisKv, AcknowledgedWritesSurviveChaos) {
   const uint64_t seed = GetParam();
   sim::SimWorld world(seed);
-  SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_servers = 5;
   opts.rs_mode = true;
   opts.f = 1;
@@ -29,13 +29,13 @@ TEST_P(NemesisKv, AcknowledgedWritesSurviveChaos) {
   // Mild link chaos on top of crashes.
   opts.link.drop_prob = 0.02;
   opts.link.dup_prob = 0.02;
-  SimCluster cluster(&world, opts);
+  node::SimCluster cluster(&world, opts);
   cluster.wait_for_leaders();
 
   KvClient::Options copts;
   copts.request_timeout = 400 * kMillis;
   copts.max_attempts = 500;
-  auto client = cluster.make_client(0, copts);
+  auto client = cluster.make_client(copts);
 
   Rng rng(seed * 1000 + 3);
   constexpr int kKeys = 8;

@@ -5,25 +5,25 @@
 
 #include <array>
 
-#include "kv/cluster.h"
+#include "node/sim_cluster.h"
 
 namespace rspaxos::kv {
 namespace {
 
 struct KvFixture {
   sim::SimWorld world;
-  SimCluster cluster;
+  node::SimCluster cluster;
   std::unique_ptr<KvClient> client;
 
-  explicit KvFixture(SimClusterOptions opts = {}, uint64_t seed = 42)
+  explicit KvFixture(node::SimClusterOptions opts = {}, uint64_t seed = 42)
       : world(seed), cluster(&world, tuned(opts)) {
     cluster.wait_for_leaders();
     KvClient::Options copts;
     copts.request_timeout = 500 * kMillis;
-    client = cluster.make_client(0, copts);
+    client = cluster.make_client(copts);
   }
 
-  static SimClusterOptions tuned(SimClusterOptions opts) {
+  static node::SimClusterOptions tuned(node::SimClusterOptions opts) {
     opts.replica.heartbeat_interval = 20 * kMillis;
     opts.replica.election_timeout_min = 150 * kMillis;
     opts.replica.election_timeout_max = 300 * kMillis;
@@ -179,7 +179,7 @@ TEST(Kv, StorageRedundancyMatchesTheory) {
 }
 
 TEST(Kv, ShardsSpreadAcrossGroups) {
-  SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_groups = 8;
   KvFixture f(opts);
   for (int i = 0; i < 40; ++i) {
@@ -251,7 +251,7 @@ TEST(Kv, ShardHashGoldenVectors) {
 // on a different machine, so killing shard 0's machine leaves the other
 // shards' leaders alive.
 TEST(Kv, LeaderCacheIsPerShardAcrossFailover) {
-  SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_groups = 4;
   opts.spread_leaders = true;
   KvFixture f(opts);
@@ -278,7 +278,7 @@ TEST(Kv, LeaderCacheIsPerShardAcrossFailover) {
   // The point of the test: at least one other shard's leader lives elsewhere.
   int spread = 0;
   for (size_t g = 1; g < 4; ++g) {
-    if (server_of_endpoint(before[g]) != victim_server) spread++;
+    if (net::server_of_endpoint(before[g]) != victim_server) spread++;
   }
   ASSERT_GT(spread, 0) << "leaders all co-located; spread_leaders broken";
 
@@ -291,13 +291,13 @@ TEST(Kv, LeaderCacheIsPerShardAcrossFailover) {
   // Write to shard 0: its cache entry must move off the dead server.
   ASSERT_TRUE(f.put(shard_key[0], to_bytes("v2")).is_ok());
   EXPECT_NE(f.client->cached_leader(0), before[0]);
-  EXPECT_EQ(server_of_endpoint(f.client->cached_leader(0)),
+  EXPECT_EQ(net::server_of_endpoint(f.client->cached_leader(0)),
             f.cluster.leader_server_of(0));
 
   // Shards whose leader stayed on a live machine keep their entry untouched,
   // and a fresh write to them sticks with the cached leader (no redirects).
   for (size_t g = 1; g < 4; ++g) {
-    if (server_of_endpoint(before[g]) == victim_server) continue;  // co-located
+    if (net::server_of_endpoint(before[g]) == victim_server) continue;  // co-located
     EXPECT_EQ(f.client->cached_leader(g), before[g]) << "shard " << g;
     ASSERT_TRUE(f.put(shard_key[g], to_bytes("v3")).is_ok());
     EXPECT_EQ(f.client->cached_leader(g), before[g]) << "shard " << g;
@@ -310,7 +310,7 @@ TEST(Kv, LeaderCacheIsPerShardAcrossFailover) {
 // through a round of kNotLeader discovery (the staleness bug this pins was a
 // whole-cache flush on every epoch bump).
 TEST(Kv, AdoptMapInvalidatesOnlyMovedShards) {
-  SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_groups = 4;
   opts.spread_leaders = true;
   KvFixture f(opts);
@@ -426,7 +426,7 @@ TEST(Kv, ManyClientsInterleave) {
   std::vector<std::unique_ptr<KvClient>> clients;
   KvClient::Options copts;
   copts.request_timeout = 500 * kMillis;
-  for (int i = 0; i < 10; ++i) clients.push_back(f.cluster.make_client(i + 1, copts));
+  for (int i = 0; i < 10; ++i) clients.push_back(f.cluster.make_client(copts));
   int done = 0;
   for (int i = 0; i < 10; ++i) {
     clients[static_cast<size_t>(i)]->put(
@@ -446,7 +446,7 @@ TEST(Kv, ManyClientsInterleave) {
 }
 
 TEST(Kv, PaxosModeClusterWorksIdentically) {
-  SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.rs_mode = false;
   KvFixture f(opts);
   ASSERT_TRUE(f.put("p", to_bytes("classic")).is_ok());

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "kv/cluster.h"
+#include "node/sim_cluster.h"
 
 namespace rspaxos::kv {
 namespace {
@@ -20,18 +20,18 @@ constexpr int kGroups = 4;
 
 struct MultiGroupFixture {
   sim::SimWorld world;
-  SimCluster cluster;
+  node::SimCluster cluster;
   std::unique_ptr<KvClient> client;
 
-  explicit MultiGroupFixture(SimClusterOptions opts = {}, uint64_t seed = 42)
+  explicit MultiGroupFixture(node::SimClusterOptions opts = {}, uint64_t seed = 42)
       : world(seed), cluster(&world, tuned(opts)) {
     cluster.wait_for_leaders();
     KvClient::Options copts;
     copts.request_timeout = 500 * kMillis;
-    client = cluster.make_client(0, copts);
+    client = cluster.make_client(copts);
   }
 
-  static SimClusterOptions tuned(SimClusterOptions opts) {
+  static node::SimClusterOptions tuned(node::SimClusterOptions opts) {
     opts.num_groups = kGroups;
     opts.spread_leaders = true;
     opts.replica.heartbeat_interval = 20 * kMillis;
@@ -106,7 +106,7 @@ TEST(MultiGroup, HostOwnsOneSharedWalWithPerGroupViews) {
 // second group keeps committing; the second group's view must see no
 // truncation, and its writes must keep succeeding throughout.
 TEST(MultiGroup, SnapshotOnOneGroupWhileAnotherCommits) {
-  SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.replica.checkpoint_interval_slots = 16;
   MultiGroupFixture f(opts);
 
@@ -159,7 +159,7 @@ TEST(MultiGroup, SnapshotOnOneGroupWhileAnotherCommits) {
 // shared log (post-snapshot suffix for the compacted group) and all groups
 // converge.
 TEST(MultiGroup, MachineRestartRecoversEveryGroupFromSharedLog) {
-  SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.replica.checkpoint_interval_slots = 16;
   MultiGroupFixture f(opts);
 

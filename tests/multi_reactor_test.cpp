@@ -4,7 +4,9 @@
 //  - isolation: a stalled reactor must not stop groups on other reactors
 //    from committing (the whole point of sharding the host);
 //  - recovery: a whole-machine restart replays every reactor's WAL and
-//    brings back every group, wherever it was placed.
+//    brings back every group, wherever it was placed;
+//  - assembly: one ClusterOptions value gives the same routing and initial
+//    leaders on both substrates, and infeasible geometry is refused.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -15,7 +17,8 @@
 #include <thread>
 
 #include "kv/client.h"
-#include "kv/cluster.h"
+#include "node/cluster.h"
+#include "node/sim_cluster.h"
 #include "node/tcp_cluster.h"
 
 namespace rspaxos {
@@ -225,6 +228,7 @@ TEST(MultiReactor, WholeMachineRestartRecoversEveryGroupAcrossReactorWals) {
   opts.f = 1;
   opts.rs_mode = false;
   opts.data_dir = dir.string();
+  opts.spread_leaders = true;
   opts.replica.heartbeat_interval = 30 * kMillis;
   opts.replica.election_timeout_min = 300 * kMillis;
   opts.replica.election_timeout_max = 600 * kMillis;
@@ -287,15 +291,15 @@ TEST(MultiReactor, SimCrashedMachineRejoinsWithAllReactorLogs) {
   constexpr int kServers = 3;
   constexpr int kGroups = 4;
   sim::SimWorld world(91);
-  kv::SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_servers = kServers;
   opts.num_groups = kGroups;
   opts.reactors = 2;
   opts.rs_mode = false;
   opts.spread_leaders = false;  // server 0 leads everything; crash server 1
-  kv::SimCluster cluster(&world, opts);
+  node::SimCluster cluster(&world, opts);
   cluster.wait_for_leaders();
-  auto client = cluster.make_client(0);
+  auto client = cluster.make_client();
 
   auto put = [&](const std::string& key, Bytes value) {
     bool done = false;
@@ -345,6 +349,93 @@ TEST(MultiReactor, SimCrashedMachineRejoinsWithAllReactorLogs) {
   };
   while (!caught_up() && world.now() < deadline) world.run_for(10 * kMillis);
   EXPECT_TRUE(caught_up()) << "rejoined machine never caught up on every group";
+}
+
+/// Per group, the servers whose replica was told to campaign at boot.
+template <typename Cluster>
+std::vector<std::vector<int>> bootstrap_servers(Cluster& cluster, int servers, int groups) {
+  std::vector<std::vector<int>> out(static_cast<size_t>(groups));
+  for (int g = 0; g < groups; ++g) {
+    for (int s = 0; s < servers; ++s) {
+      if (cluster.server(s, g)->replica().options().bootstrap_leader) {
+        out[static_cast<size_t>(g)].push_back(s);
+      }
+    }
+  }
+  return out;
+}
+
+// Both assemblies build from one ClusterOptions value: the epoch-0 routing
+// table clients boot on and the server each group's replica campaigns from
+// at boot must not depend on the substrate.
+TEST(ClusterAssembly, SimAndTcpAgreeOnRoutingAndInitialLeaders) {
+  for (bool spread : {false, true}) {
+    SCOPED_TRACE(spread ? "spread_leaders" : "server 0 leads");
+    node::ClusterOptions base;
+    base.num_servers = 3;
+    base.num_groups = 4;
+    base.num_shards = 8;
+    base.reactors = 2;
+    base.rs_mode = true;  // theta(1,3)
+    base.f = 1;
+    base.spread_leaders = spread;
+
+    sim::SimWorld world(7);
+    node::SimClusterOptions sopts;
+    static_cast<node::ClusterOptions&>(sopts) = base;
+    node::SimCluster sim_cluster(&world, sopts);
+
+    auto dir = std::filesystem::temp_directory_path() /
+               ("rspaxos_assembly_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    node::TcpClusterOptions topts;
+    static_cast<node::ClusterOptions&>(topts) = base;
+    topts.data_dir = dir.string();
+    auto started = node::TcpCluster::start(topts);
+    ASSERT_TRUE(started.is_ok()) << started.status().to_string();
+    auto tcp_cluster = std::move(started).value();
+
+    kv::RoutingTable a = sim_cluster.routing();
+    kv::RoutingTable b = tcp_cluster->routing();
+    EXPECT_EQ(a.group_members, b.group_members);
+    EXPECT_EQ(a.map.to_json(), b.map.to_json());
+    EXPECT_EQ(a.num_shards(), 8u);
+    EXPECT_EQ(sim_cluster.options().reactors, tcp_cluster->reactors());
+    for (int s = 0; s < base.num_servers; ++s) {
+      for (uint32_t r = 0; r < 2; ++r) {
+        EXPECT_NE(sim_cluster.host(s)->health(r), nullptr) << "s" << s << " r" << r;
+        EXPECT_NE(tcp_cluster->host(s).health(r), nullptr) << "s" << s << " r" << r;
+      }
+    }
+
+    auto sim_boot = bootstrap_servers(sim_cluster, base.num_servers, base.num_groups);
+    auto tcp_boot = bootstrap_servers(*tcp_cluster, base.num_servers, base.num_groups);
+    EXPECT_EQ(sim_boot, tcp_boot);
+    for (int g = 0; g < base.num_groups; ++g) {
+      std::vector<int> want{spread ? g % base.num_servers : 0};
+      EXPECT_EQ(sim_boot[static_cast<size_t>(g)], want) << "group " << g;
+    }
+
+    tcp_cluster.reset();
+    std::filesystem::remove_all(dir);
+  }
+}
+
+// RS-Paxos needs N - 2f >= 1: two servers cannot tolerate f = 1 with erasure
+// coding. start() must refuse the geometry, not quietly run majority Paxos.
+TEST(ClusterAssembly, TcpStartRejectsInfeasibleRsGeometry) {
+  auto dir = std::filesystem::temp_directory_path() /
+             ("rspaxos_assembly_bad_" + std::to_string(::getpid()));
+  node::TcpClusterOptions opts;
+  opts.num_servers = 2;
+  opts.rs_mode = true;
+  opts.f = 1;
+  opts.data_dir = dir.string();
+  auto started = node::TcpCluster::start(opts);
+  ASSERT_FALSE(started.is_ok());
+  EXPECT_EQ(started.status().code(), Code::kInvalidArgument)
+      << started.status().to_string();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

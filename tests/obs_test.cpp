@@ -9,7 +9,7 @@
 #include <thread>
 #include <vector>
 
-#include "kv/cluster.h"
+#include "node/sim_cluster.h"
 #include "obs/metrics.h"
 #include "obs/reporter.h"
 #include "obs/trace.h"
@@ -175,10 +175,10 @@ TEST(Metrics, HealthAndAdmissionSeriesCarryReactorLabel) {
   // admission series once per group, each stamped with the owning reactor —
   // group 1 lives on reactor 1 under the g % R placement.
   sim::SimWorld world(7);
-  kv::SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_groups = 2;
   opts.reactors = 2;
-  kv::SimCluster cluster(&world, opts);
+  node::SimCluster cluster(&world, opts);
   cluster.wait_for_leaders();
   std::string prom = MetricsRegistry::global().to_prometheus();
   EXPECT_NE(prom.find("rsp_health_loop_lag_p99_us{server=\"0\",reactor=\"0\"}"),
@@ -436,15 +436,15 @@ TEST(Trace, AmbientSpanScopeRestores) {
 
 TEST(TraceE2E, CommittedPutHasConnectedSpanTree) {
   sim::SimWorld world(42);
-  kv::SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.replica.heartbeat_interval = 20 * kMillis;
   opts.replica.election_timeout_min = 150 * kMillis;
   opts.replica.election_timeout_max = 300 * kMillis;
   opts.replica.lease_duration = 100 * kMillis;
   opts.replica.max_clock_drift = 10 * kMillis;
-  kv::SimCluster cluster(&world, opts);
+  node::SimCluster cluster(&world, opts);
   cluster.wait_for_leaders();
-  auto client = cluster.make_client(0);
+  auto client = cluster.make_client();
 
   // Only the put below should mint traces from here on.
   Tracer::global().clear();

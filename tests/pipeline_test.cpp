@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "kv/cluster.h"
+#include "node/sim_cluster.h"
 
 namespace rspaxos::kv {
 namespace {
@@ -35,17 +35,17 @@ consensus::ReplicaOptions fast_elections() {
 
 TEST(Pipeline, WindowBoundsInflightAndDrainsQueue) {
   sim::SimWorld world(51);
-  SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_servers = 5;
   opts.rs_mode = true;
   opts.f = 1;
-  SimCluster cluster(&world, opts);
+  node::SimCluster cluster(&world, opts);
   cluster.wait_for_leaders();
 
   KvClient::Options copts;
   copts.request_timeout = 1000 * kMillis;
   copts.max_inflight = 16;
-  auto client = cluster.make_client(0, copts);
+  auto client = cluster.make_client(copts);
 
   constexpr int kOps = 100;
   uint64_t resolved = 0, ok = 0;
@@ -75,21 +75,21 @@ TEST(Pipeline, WindowBoundsInflightAndDrainsQueue) {
 
 TEST(Pipeline, StalledShardDoesNotHeadOfLineBlockOthers) {
   sim::SimWorld world(52);
-  SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_servers = 5;
   opts.num_groups = 4;
   opts.rs_mode = true;
   opts.f = 1;
   opts.spread_leaders = true;
   opts.replica = fast_elections();
-  SimCluster cluster(&world, opts);
+  node::SimCluster cluster(&world, opts);
   cluster.wait_for_leaders();
 
   KvClient::Options copts;
   copts.request_timeout = 400 * kMillis;
   copts.max_attempts = 100;
   copts.max_inflight = 32;
-  auto client = cluster.make_client(0, copts);
+  auto client = cluster.make_client(copts);
 
   // Prime the leader cache so the stall below is the election, not discovery.
   for (uint32_t g = 0; g < 4; ++g) {
@@ -140,19 +140,19 @@ TEST(Pipeline, StalledShardDoesNotHeadOfLineBlockOthers) {
 
 TEST(Pipeline, LeaderFailoverWithFullWindowResolvesEveryOp) {
   sim::SimWorld world(53);
-  SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_servers = 5;
   opts.rs_mode = true;
   opts.f = 1;
   opts.replica = fast_elections();
-  SimCluster cluster(&world, opts);
+  node::SimCluster cluster(&world, opts);
   cluster.wait_for_leaders();
 
   KvClient::Options copts;
   copts.request_timeout = 400 * kMillis;
   copts.max_attempts = 500;
   copts.max_inflight = 32;
-  auto client = cluster.make_client(0, copts);
+  auto client = cluster.make_client(copts);
 
   constexpr int kOps = 64;
   std::set<int> acked;

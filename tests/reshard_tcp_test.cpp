@@ -59,6 +59,7 @@ TEST(ReshardTcp, MigrationUnderLoadOverRealSockets) {
   opts.num_groups = kGroups;
   opts.num_shards = kShards;
   opts.f = 1;
+  opts.spread_leaders = true;
   opts.data_dir = dir.string();
   opts.replica.heartbeat_interval = 30 * kMillis;
   opts.replica.election_timeout_min = 300 * kMillis;

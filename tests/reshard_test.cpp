@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "kv/cluster.h"
+#include "node/sim_cluster.h"
 #include "load/open_loop.h"
 
 namespace rspaxos::kv {
@@ -21,19 +21,19 @@ constexpr int kShards = 4;
 
 struct ReshardFixture {
   sim::SimWorld world;
-  SimCluster cluster;
+  node::SimCluster cluster;
   std::unique_ptr<KvClient> client;
 
-  explicit ReshardFixture(SimClusterOptions opts, uint64_t seed = 42)
+  explicit ReshardFixture(node::SimClusterOptions opts, uint64_t seed = 42)
       : world(seed), cluster(&world, tuned(opts)) {
     cluster.wait_for_leaders();
     KvClient::Options copts;
     copts.request_timeout = 500 * kMillis;
     copts.max_attempts = 400;
-    client = cluster.make_client(0, copts);
+    client = cluster.make_client(copts);
   }
 
-  static SimClusterOptions tuned(SimClusterOptions opts) {
+  static node::SimClusterOptions tuned(node::SimClusterOptions opts) {
     opts.num_shards = kShards;
     opts.replica.heartbeat_interval = 20 * kMillis;
     opts.replica.election_timeout_min = 150 * kMillis;
@@ -76,7 +76,7 @@ struct ReshardFixture {
     std::shared_ptr<const ShardMap> best;
     for (int s = 0; s < cluster.options().num_servers; ++s) {
       if (!cluster.server_alive(s)) continue;
-      auto* host = const_cast<SimCluster&>(cluster).host(s);
+      auto* host = const_cast<node::SimCluster&>(cluster).host(s);
       if (host == nullptr) continue;
       auto m = host->routing()->snapshot();
       if (!best || m->epoch > best->epoch) best = std::move(m);
@@ -106,7 +106,7 @@ Bytes value_of(int version, size_t len = 512) {
 // during, or after the move — must read back its exact last value from the
 // new owner, and the source group must eventually hold none of the shard.
 TEST(Reshard, MigrationCompletesUnderLoad) {
-  SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_groups = 2;
   ReshardFixture f(opts);
   // Identity map: shard 2 starts in group 0 (2 % 2); move it to group 1.
@@ -198,7 +198,7 @@ TEST(Reshard, MigrationCompletesUnderLoad) {
 // abort it (unseal + remove the record) and the shard keeps serving from the
 // original group with every previously acked write intact.
 TEST(Reshard, CrashSourceLeaderMidCopyAbortsCleanly) {
-  SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_groups = 2;
   opts.spread_leaders = true;  // group 0's leader is not every group's leader
   ReshardFixture f(opts);
@@ -271,7 +271,7 @@ TEST(Reshard, CrashSourceLeaderMidCopyAbortsCleanly) {
 // the whole write load and migrates a shard off it without any operator
 // involvement.
 TEST(Reshard, BalancerMovesShardOffHotGroup) {
-  SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_groups = 2;
   opts.balancer = true;
   opts.balancer_opts.interval = 300 * kMillis;
@@ -310,7 +310,7 @@ TEST(Reshard, BalancerMovesShardOffHotGroup) {
 // Leader spreading: a cluster booted with every group led by server 0
 // converges to a spread where no machine leads more than idle+slack groups.
 TEST(Reshard, BalancerSpreadsLeaders) {
-  SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.num_groups = 4;
   opts.spread_leaders = false;  // server 0 boots as leader of all 4 groups
   opts.balancer = true;
@@ -347,14 +347,14 @@ TEST(Reshard, BalancerSpreadsLeaders) {
 // uniform.
 TEST(Reshard, ZipfWorkloadSkewsShardLoad) {
   sim::SimWorld world(7);
-  SimClusterOptions opts = ReshardFixture::tuned({});
+  node::SimClusterOptions opts = ReshardFixture::tuned({});
   opts.num_groups = 1;  // routing is not under test here
-  SimCluster cluster(&world, opts);
+  node::SimCluster cluster(&world, opts);
   cluster.wait_for_leaders();
   KvClient::Options copts;
   copts.request_timeout = 500 * kMillis;
-  auto client = cluster.make_client(0, copts);
-  NodeContext* ctx = cluster.network().node(kClientBase);
+  auto client = cluster.make_client(copts);
+  NodeContext* ctx = cluster.network().node(net::kClientBase);
 
   load::OpenLoopSpec spec;
   spec.qps = 500;

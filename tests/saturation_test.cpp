@@ -7,7 +7,7 @@
 #include <set>
 #include <string>
 
-#include "kv/cluster.h"
+#include "node/sim_cluster.h"
 #include "load/open_loop.h"
 
 namespace rspaxos::kv {
@@ -15,8 +15,8 @@ namespace {
 
 constexpr size_t kInflightBudget = 8;
 
-SimClusterOptions overload_opts() {
-  SimClusterOptions opts;
+node::SimClusterOptions overload_opts() {
+  node::SimClusterOptions opts;
   opts.num_servers = 5;
   opts.rs_mode = true;
   opts.f = 1;
@@ -32,7 +32,7 @@ KvClient::Options windowed_client() {
   return copts;
 }
 
-uint64_t total_shed(SimCluster& cluster) {
+uint64_t total_shed(node::SimCluster& cluster) {
   uint64_t shed = 0;
   for (int s = 0; s < cluster.options().num_servers; ++s) {
     shed += cluster.server(s, 0)->stats().admission_shed;
@@ -42,10 +42,10 @@ uint64_t total_shed(SimCluster& cluster) {
 
 TEST(Saturation, OverloadShedsInsteadOfQueueingUnbounded) {
   sim::SimWorld world(41);
-  SimClusterOptions opts = overload_opts();
-  SimCluster cluster(&world, opts);
+  node::SimClusterOptions opts = overload_opts();
+  node::SimCluster cluster(&world, opts);
   cluster.wait_for_leaders();
-  auto client = cluster.make_client(0, windowed_client());
+  auto client = cluster.make_client(windowed_client());
 
   // Unique key per op: an acked put must remain readable with exactly its
   // value no matter how the pipeline reorders or sheds around it.
@@ -92,11 +92,11 @@ TEST(Saturation, OverloadShedsInsteadOfQueueingUnbounded) {
 
 TEST(Saturation, BelowWatermarkLoadUnaffected) {
   sim::SimWorld world(42);
-  SimClusterOptions opts = overload_opts();
-  SimCluster cluster(&world, opts);
+  node::SimClusterOptions opts = overload_opts();
+  node::SimCluster cluster(&world, opts);
   cluster.wait_for_leaders();
-  auto client = cluster.make_client(0, windowed_client());
-  NodeContext* ctx = cluster.network().node(kClientBase);
+  auto client = cluster.make_client(windowed_client());
+  NodeContext* ctx = cluster.network().node(net::kClientBase);
 
   // 200 qps against a budget of 8 concurrent ops: Little's law keeps the
   // server far below its watermark, so admission must be invisible.
@@ -120,12 +120,12 @@ TEST(Saturation, BelowWatermarkLoadUnaffected) {
 
 TEST(Saturation, QueueByteBudgetShedsBigValuesButAdmitsOversizedWhenIdle) {
   sim::SimWorld world(43);
-  SimClusterOptions opts = overload_opts();
+  node::SimClusterOptions opts = overload_opts();
   opts.kv.admission.max_inflight = 0;        // isolate the byte budget
   opts.kv.admission.max_queue_bytes = 16 * 1024;
-  SimCluster cluster(&world, opts);
+  node::SimCluster cluster(&world, opts);
   cluster.wait_for_leaders();
-  auto client = cluster.make_client(0, windowed_client());
+  auto client = cluster.make_client(windowed_client());
 
   // A burst of 8 KiB values: two fit the 16 KiB budget, the rest must bounce
   // at least once before retries drain them through.

@@ -9,25 +9,25 @@
 #include <set>
 #include <string>
 
-#include "kv/cluster.h"
+#include "node/sim_cluster.h"
 
 namespace rspaxos::kv {
 namespace {
 
 struct SnapFixture {
   sim::SimWorld world;
-  SimCluster cluster;
+  node::SimCluster cluster;
   std::unique_ptr<KvClient> client;
 
-  explicit SnapFixture(SimClusterOptions opts = {}, uint64_t seed = 42)
+  explicit SnapFixture(node::SimClusterOptions opts = {}, uint64_t seed = 42)
       : world(seed), cluster(&world, tuned(opts)) {
     cluster.wait_for_leaders();
     KvClient::Options copts;
     copts.request_timeout = 500 * kMillis;
-    client = cluster.make_client(0, copts);
+    client = cluster.make_client(copts);
   }
 
-  static SimClusterOptions tuned(SimClusterOptions opts) {
+  static node::SimClusterOptions tuned(node::SimClusterOptions opts) {
     opts.replica.heartbeat_interval = 20 * kMillis;
     opts.replica.election_timeout_min = 150 * kMillis;
     opts.replica.election_timeout_max = 300 * kMillis;
@@ -78,7 +78,7 @@ std::map<std::string, Bytes> leader_state(SnapFixture& f) {
 }
 
 TEST(SnapshotSim, CheckpointTruncatesWalAndRestartReplaysOnlySuffix) {
-  SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.replica.checkpoint_interval_slots = 16;
   SnapFixture f(opts);
 
@@ -150,9 +150,9 @@ TEST(SnapshotSim, LaggingReplicaConvergesViaInstallSnapshot) {
       ASSERT_TRUE(f.put("k" + std::to_string(i), value_for(i)).is_ok());
     }
     if (with_partition) {
-      std::set<NodeId> lagging{endpoint_id(4, 0)};
+      std::set<NodeId> lagging{net::endpoint_id(4, 0)};
       std::set<NodeId> rest;
-      for (int s = 0; s < 4; ++s) rest.insert(endpoint_id(s, 0));
+      for (int s = 0; s < 4; ++s) rest.insert(net::endpoint_id(s, 0));
       f.cluster.network().partition(lagging, rest);
     }
     for (int i = kPhase1; i < kTotal; ++i) {
@@ -160,7 +160,7 @@ TEST(SnapshotSim, LaggingReplicaConvergesViaInstallSnapshot) {
     }
   };
 
-  SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.replica.checkpoint_interval_slots = 16;
   SnapFixture f(opts);
   run_workload(f, /*with_partition=*/true);
@@ -185,7 +185,7 @@ TEST(SnapshotSim, LaggingReplicaConvergesViaInstallSnapshot) {
 
   // Control run: identical workload, snapshots off, no partition. The final
   // KV state must be identical — compaction changes cost, not semantics.
-  SimClusterOptions control_opts;
+  node::SimClusterOptions control_opts;
   control_opts.replica.checkpoint_interval_slots = 0;
   SnapFixture control(control_opts);
   run_workload(control, /*with_partition=*/false);
@@ -200,7 +200,7 @@ TEST(SnapshotSim, LaggingReplicaConvergesViaInstallSnapshot) {
 // old shares never loses data — after a failover the new leader still serves
 // every key, reconstructing pre-snapshot values from the checkpoint image.
 TEST(SnapshotSim, GatedShareGcKeepsDataReadable) {
-  SimClusterOptions opts;
+  node::SimClusterOptions opts;
   opts.replica.checkpoint_interval_slots = 16;
   opts.replica.share_cache_slots = 8;
   SnapFixture f(opts);

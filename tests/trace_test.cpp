@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "kv/cluster.h"
+#include "node/sim_cluster.h"
 #include "obs/trace.h"
 #include "sim/sim_world.h"
 
@@ -53,10 +53,10 @@ const CommitTrace* find_commit_trace(const std::vector<CommitTrace>& traces) {
 
 struct Fixture {
   sim::SimWorld world{7};
-  kv::SimCluster cluster;
+  node::SimCluster cluster;
 
   Fixture() : cluster(&world, [] {
-    kv::SimClusterOptions o;
+    node::SimClusterOptions o;
     o.num_servers = 5;
     o.f = 1;  // theta(3,5)
     return o;
@@ -78,7 +78,7 @@ struct Fixture {
 TEST(TracePropagation, CommitSpanTreeCoversClientLeaderAndAcceptors) {
   Fixture f;
   f.cluster.wait_for_leaders();
-  auto client = f.cluster.make_client(0);
+  auto client = f.cluster.make_client();
 
   Tracer::global().clear();
   Tracer::global().set_enabled(true);
@@ -110,7 +110,7 @@ TEST(TracePropagation, CommitSpanTreeCoversClientLeaderAndAcceptors) {
 TEST(TracePropagation, SpanTreeSurvivesLeaderFailover) {
   Fixture f;
   f.cluster.wait_for_leaders();
-  auto client = f.cluster.make_client(0);
+  auto client = f.cluster.make_client();
   ASSERT_TRUE(f.put(client.get(), "pre-crash", "v0").is_ok());
 
   int old_leader = f.cluster.leader_server_of(0);
@@ -138,11 +138,11 @@ TEST(TracePropagation, SpanTreeSurvivesLeaderFailover) {
   EXPECT_TRUE(t->done);
   // The commit span now lives on the new leader's endpoint.
   EXPECT_EQ(t->find("commit")->node,
-            static_cast<uint32_t>(kv::endpoint_id(new_leader, 0)));
+            static_cast<uint32_t>(net::endpoint_id(new_leader, 0)));
   // The crashed server contributed nothing to the post-election tree.
   for (const TraceSpan& s : t->spans) {
     if (s.name == "client_rpc") continue;  // client endpoint, not a server
-    EXPECT_NE(s.node, static_cast<uint32_t>(kv::endpoint_id(old_leader, 0)))
+    EXPECT_NE(s.node, static_cast<uint32_t>(net::endpoint_id(old_leader, 0)))
         << s.name;
   }
 }

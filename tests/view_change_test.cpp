@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "consensus/view.h"
-#include "kv/cluster.h"
+#include "node/sim_cluster.h"
 
 namespace rspaxos::consensus {
 namespace {
@@ -86,12 +86,12 @@ using consensus::GroupConfig;
 
 struct Fixture {
   sim::SimWorld world{7};
-  SimCluster cluster;
+  node::SimCluster cluster;
 
   Fixture() : cluster(&world, options()) { cluster.wait_for_leaders(); }
 
-  static SimClusterOptions options() {
-    SimClusterOptions o;
+  static node::SimClusterOptions options() {
+    node::SimClusterOptions o;
     o.replica.heartbeat_interval = 20 * kMillis;
     o.replica.election_timeout_min = 150 * kMillis;
     o.replica.election_timeout_max = 300 * kMillis;
@@ -127,7 +127,7 @@ TEST(ViewChangeE2E, EpochSwitchesOnAllReplicas) {
 
 TEST(ViewChangeE2E, WritesUseNewCodingAfterSwitch) {
   Fixture f;
-  auto client = f.cluster.make_client(0);
+  auto client = f.cluster.make_client();
   // Write before the change: X=3 shares on followers.
   bool done = false;
   client->put("pre", Bytes(3000, 1), [&](Status s) {
