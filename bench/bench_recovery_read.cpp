@@ -35,6 +35,14 @@ Row measure(size_t value_size, uint64_t seed) {
   // Keep every share resident: this bench exists to measure recovery reads.
   opts.replica.share_cache_slots = 0;
   opts.replica.payload_cache_slots = 64;
+  // Per-server recovery-read baselines: registry totals are process-wide and
+  // every row's cluster reuses the node ids.
+  auto recovery_reads = [](int s) {
+    return obs::MetricsRegistry::global().counter_sum(
+        "rsp_kv_recovery_reads_total", {{"node", std::to_string(net::endpoint_id(s, 0))}});
+  };
+  std::vector<uint64_t> reads0;
+  for (int s = 0; s < opts.num_servers; ++s) reads0.push_back(recovery_reads(s));
   node::SimCluster cluster(world.get(), opts);
   cluster.wait_for_leaders();
   make_client_links_free(cluster, 1);
@@ -103,8 +111,7 @@ Row measure(size_t value_size, uint64_t seed) {
     run_until([&] { return done; });
   }
   int new_leader = cluster.leader_server_of(0);
-  uint64_t recovered =
-      new_leader >= 0 ? cluster.server(new_leader, 0)->stats().recovery_reads : 0;
+  uint64_t recovered = new_leader >= 0 ? recovery_reads(new_leader) - reads0[new_leader] : 0;
   if (recovered < kKeys / 2) {
     std::fprintf(stderr, "warning: only %llu recovery reads triggered\n",
                  static_cast<unsigned long long>(recovered));

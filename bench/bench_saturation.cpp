@@ -69,6 +69,23 @@ struct Sweep {
 /// budget sits BELOW the client window on purpose: past the knee the window
 /// fills, the excess bounces with kOverloaded, and the server's queue stays
 /// bounded — that bounce is exactly the shedding this bench measures.
+/// kOverloaded bounces by every server's group-0 endpoint, all reasons
+/// (a process-wide registry total: callers take deltas over one point).
+uint64_t total_shed(int num_servers) {
+  uint64_t shed = 0;
+  for (int s = 0; s < num_servers; ++s) {
+    shed += obs::MetricsRegistry::global().counter_sum(
+        "rsp_admission_shed_total", {{"node", std::to_string(net::endpoint_id(s, 0))}});
+  }
+  return shed;
+}
+
+/// kOverloaded replies client endpoint `client` absorbed with a backoff.
+uint64_t client_backoffs(NodeId client) {
+  return obs::MetricsRegistry::global().counter_sum(
+      "rsp_client_overload_backoffs_total", {{"node", std::to_string(client)}});
+}
+
 kv::KvServerOptions saturation_kv_options() {
   kv::KvServerOptions kv;
   kv.batch_window = 200;  // us; instance batching keeps fsyncs off the knee
@@ -146,11 +163,8 @@ Point run_sim_point(double qps, DurationMicros duration, uint64_t seed) {
     while (!done && world.now() < deadline) world.run_for(5 * kMillis);
   }
 
-  uint64_t shed0 = 0;
-  for (int s = 0; s < opts.num_servers; ++s) {
-    shed0 += cluster.server(s, 0)->stats().admission_shed;
-  }
-  uint64_t backoffs0 = client->stats().overload_backoffs;
+  uint64_t shed0 = total_shed(opts.num_servers);
+  uint64_t backoffs0 = client_backoffs(ctx->id());
 
   load::OpenLoopSpec spec;
   spec.qps = qps;
@@ -171,11 +185,8 @@ Point run_sim_point(double qps, DurationMicros duration, uint64_t seed) {
   Point p;
   p.target_qps = qps;
   fill_point(p, gen);
-  for (int s = 0; s < opts.num_servers; ++s) {
-    p.shed += cluster.server(s, 0)->stats().admission_shed;
-  }
-  p.shed -= shed0;
-  p.backoffs = client->stats().overload_backoffs - backoffs0;
+  p.shed = total_shed(opts.num_servers) - shed0;
+  p.backoffs = client_backoffs(ctx->id()) - backoffs0;
   gen.stop();
   client->cancel_all(Status::timeout("bench teardown"));
   return p;
@@ -304,17 +315,10 @@ std::unique_ptr<TcpBench> start_tcp(kv::KvClient::Options copts) {
   return b;
 }
 
-uint64_t tcp_total_shed(TcpBench& b) {
-  uint64_t shed = 0;
-  for (int s = 0; s < b.cluster->options().num_servers; ++s) {
-    shed += b.cluster->server(s, 0)->stats().admission_shed;
-  }
-  return shed;
-}
-
 Point run_tcp_point(TcpBench& b, double qps, DurationMicros duration, uint64_t seed) {
-  uint64_t shed0 = tcp_total_shed(b);
-  uint64_t backoffs0 = b.client->stats().overload_backoffs;
+  const int num_servers = b.cluster->options().num_servers;
+  uint64_t shed0 = total_shed(num_servers);
+  uint64_t backoffs0 = client_backoffs(b.cnode->id());
 
   load::OpenLoopSpec spec;
   spec.qps = qps;
@@ -355,8 +359,8 @@ Point run_tcp_point(TcpBench& b, double qps, DurationMicros duration, uint64_t s
   Point p;
   p.target_qps = qps;
   fill_point(p, *g);
-  p.shed = tcp_total_shed(b) - shed0;
-  p.backoffs = b.client->stats().overload_backoffs - backoffs0;
+  p.shed = total_shed(num_servers) - shed0;
+  p.backoffs = client_backoffs(b.cnode->id()) - backoffs0;
 
   // Destroy the generator on the loop so no timer callback races teardown.
   // (post() needs a copyable callable, so hand over a raw pointer.)

@@ -79,6 +79,11 @@ Row measure(size_t value_size, int overwrites, bool snapshots, uint64_t seed) {
     run_until([&] { return cluster.server(leader, 0)->replica().log_start() > 1; });
   }
 
+  auto installs = [&] {
+    return obs::MetricsRegistry::global().counter_sum(
+        "rsp_snapshot_installs", {{"node", std::to_string(net::endpoint_id(lagger, 0))}});
+  };
+  uint64_t installs0 = installs();
   uint64_t net0 = cluster.total_network_bytes();
   TimeMicros t0 = world->now();
   cluster.restart_server(lagger);
@@ -91,7 +96,7 @@ Row measure(size_t value_size, int overwrites, bool snapshots, uint64_t seed) {
   row.slots_missed = target;
   row.converge_ms = static_cast<double>(world->now() - t0) / 1000.0;
   row.net_mb = static_cast<double>(cluster.total_network_bytes() - net0) / 1e6;
-  row.snapshot_installs = rejoiner.stats().snapshot_installs;
+  row.snapshot_installs = installs() - installs0;
   // The rejoiner's own fragment save may still be in flight on the sim disk;
   // let it land before sampling the durable footprint (not part of the
   // convergence time — the replica already serves reads).

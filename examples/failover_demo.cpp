@@ -67,6 +67,11 @@ int main() {
 
   // The new leader only holds a coded share of the lock record; the read
   // below forces a §4.4 recovery read (gather >= X shares, decode, cache).
+  auto recovery_reads = [&] {
+    return obs::MetricsRegistry::global().counter_sum(
+        "rsp_kv_recovery_reads_total", {{"node", std::to_string(net::endpoint_id(leader, 0))}});
+  };
+  const uint64_t reads0 = recovery_reads();
   std::optional<std::string> got;
   client->get("locks/build-farm", [&](StatusOr<Bytes> r) {
     if (r.is_ok()) got = rspaxos::to_string(r.value());
@@ -75,8 +80,7 @@ int main() {
   std::printf("t=%-6.2fs read after failover -> \"%s\"\n", world.now() / 1e6,
               got->c_str());
   std::printf("         (recovery reads on new leader: %llu)\n",
-              static_cast<unsigned long long>(
-                  cluster.server(leader, 0)->stats().recovery_reads));
+              static_cast<unsigned long long>(recovery_reads() - reads0));
 
   // ---- view change: drop the dead member (§4.6) --------------------------
   auto& rep = cluster.server(leader, 0)->replica();

@@ -24,8 +24,7 @@ void Replica::init_metrics() {
   std::string node = std::to_string(ctx_->id());
   std::string group = std::to_string(opts_.group_id);
   auto counter = [&](const char* name, const char* help) {
-    return obs::CounterView(
-        &reg.counter_family(name, help, {"node", "group"}).with({node, group}));
+    return &reg.counter_family(name, help, {"node", "group"}).with({node, group});
   };
   m_.proposals = counter("rsp_consensus_proposals_total", "Values proposed by this node");
   m_.commits = counter("rsp_consensus_commits_total", "Slots this node decided as leader");
@@ -59,23 +58,6 @@ void Replica::init_metrics() {
       counter("rsp_share_gc_dropped", "Log-entry shares dropped by snapshot-gated GC");
   m_.snapshot_duration_us =
       histogram("rsp_snapshot_duration_us", "Checkpoint build+encode+save latency");
-}
-
-ReplicaStats Replica::stats() const {
-  ReplicaStats s;
-  s.proposals = m_.proposals.value();
-  s.commits = m_.commits.value();
-  s.accepts_sent = m_.accepts_sent.value();
-  s.elections_started = m_.elections_started.value();
-  s.times_elected = m_.times_elected.value();
-  s.catchup_entries_served = m_.catchup_entries_served.value();
-  s.recoveries = m_.recoveries.value();
-  s.checkpoints = m_.checkpoints.value();
-  s.snapshot_installs = m_.snapshot_installs.value();
-  s.snapshot_bytes = m_.snapshot_bytes.value();
-  s.share_gc_dropped = m_.share_gc_dropped.value();
-  s.repair_bytes = m_.repair_bytes.value();
-  return s;
 }
 
 void Replica::start() {
@@ -121,7 +103,7 @@ DurationMicros Replica::election_timeout() {
   // avoids synchronized campaigns, like randomized timeouts would).
   DurationMicros offset = span > 0
       ? static_cast<DurationMicros>(
-            (ctx_->id() * 2654435761u + m_.elections_started.value() * 40503u) %
+            (ctx_->id() * 2654435761u + campaigns_ * 40503u) %
             static_cast<uint64_t>(span))
       : 0;
   return opts_.election_timeout_min + offset;
@@ -179,7 +161,8 @@ bool Replica::lease_valid() const {
 
 void Replica::start_campaign() {
   role_ = Role::kCandidate;
-  m_.elections_started.inc();
+  ++campaigns_;
+  m_.elections_started->inc();
   ballot_ = Ballot{std::max(ballot_.round, promised_.round) + 1, ctx_->id()};
   promised_ = ballot_;
   campaign_start_ = applied_index_ + 1;
@@ -230,7 +213,7 @@ void Replica::become_leader() {
   role_ = Role::kLeader;
   leader_ = ctx_->id();
   leader_mirror_.store(leader_, std::memory_order_relaxed);
-  m_.times_elected.inc();
+  m_.times_elected->inc();
   if (election_timer_ != 0) {
     ctx_->cancel_timer(election_timer_);
     election_timer_ = 0;
@@ -395,7 +378,7 @@ void Replica::propose_internal(Slot slot, EntryKind kind, ValueId vid, Bytes hea
   } else {
     next_slot_ = std::max(next_slot_, slot + 1);
   }
-  m_.proposals.inc();
+  m_.proposals->inc();
 
   obs::Tracer& tracer = obs::Tracer::global();
   TimeMicros proposed_at = ctx_->now();
@@ -588,7 +571,7 @@ void Replica::send_accept_to(NodeId member, const PendingProposal& p) {
       p.frames[static_cast<size_t>(idx)].empty()) {
     return;
   }
-  m_.accepts_sent.inc();
+  m_.accepts_sent->inc();
   // The accept travels inside its per-acceptor network span: the transport
   // stamps the ambient context into the frame and the acceptor ends the span
   // on receipt (retransmits re-carry it; re-ending is a no-op).
@@ -635,7 +618,7 @@ void Replica::handle_commit_of(Slot slot) {
 
   LogEntry& e = log_[slot];
   e.committed = true;
-  m_.commits.inc();
+  m_.commits->inc();
   recent_commits_.emplace_back(slot, vid);
   // Ack the proposer only once the entry has *executed* locally, so a
   // fast read right after the ack observes the write. advance_commit_index
@@ -1039,7 +1022,7 @@ void Replica::maybe_drop_old_payloads() {
         e.full_payload.reset();
         e.share.data.clear();
         e.share.data.shrink_to_fit();
-        m_.share_gc_dropped.inc();
+        m_.share_gc_dropped->inc();
       }
     }
     share_gc_floor_ = std::max(share_gc_floor_, cutoff);

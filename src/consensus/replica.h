@@ -108,24 +108,6 @@ struct ApplyView {
   const CodedShare* share = nullptr;    // this replica's share
 };
 
-/// Aggregate cost/behaviour counters (the paper's evaluation metrics).
-/// Snapshot assembled from the process-wide obs::MetricsRegistry — kept as
-/// the stable legacy accessor shape; values are per-Replica-instance deltas.
-struct ReplicaStats {
-  uint64_t proposals = 0;
-  uint64_t commits = 0;
-  uint64_t accepts_sent = 0;
-  uint64_t elections_started = 0;
-  uint64_t times_elected = 0;
-  uint64_t catchup_entries_served = 0;
-  uint64_t recoveries = 0;
-  uint64_t checkpoints = 0;        // erasure-coded snapshots cut by this node
-  uint64_t snapshot_installs = 0;  // full-state reconstructions completed
-  uint64_t snapshot_bytes = 0;     // fragment bytes durably saved
-  uint64_t share_gc_dropped = 0;   // log-entry shares dropped by gated GC
-  uint64_t repair_bytes = 0;       // share bytes fetched from peers for repairs
-};
-
 class Replica final : public MessageHandler {
  public:
   using ProposeFn = std::function<void(StatusOr<Slot>)>;
@@ -209,7 +191,6 @@ class Replica final : public MessageHandler {
   Slot last_applied() const { return applied_index_; }
   const GroupConfig& config() const { return cfg_; }
   const ReplicaOptions& options() const { return opts_; }
-  ReplicaStats stats() const;
   Ballot current_ballot() const { return ballot_; }
   /// Lowest slot still present in the (durable) log; slots below it live only
   /// in the snapshot.
@@ -507,15 +488,25 @@ class Replica final : public MessageHandler {
   NodeContext::TimerId heartbeat_timer_ = 0;
   NodeContext::TimerId retransmit_timer_ = 0;
 
-  /// Cached registry handles (delta views so stats() stays per-instance even
-  /// when several clusters in one process reuse node ids).
+  /// Campaigns this instance began: seeds the election-timeout stagger, so
+  /// it must not read the registry counter that other instances share.
+  uint64_t campaigns_ = 0;
+
+  /// Cached registry handles, labeled by node and group.
   struct Metrics {
-    obs::CounterView proposals, commits, accepts_sent;
-    obs::CounterView elections_started, times_elected;
-    obs::CounterView catchup_entries_served, recoveries, catchup_bytes;
-    obs::CounterView repair_bytes;  // share bytes fetched for repair/recovery
-    obs::CounterView checkpoints, snapshot_installs, snapshot_bytes;
-    obs::CounterView share_gc_dropped;
+    obs::Counter* proposals = nullptr;
+    obs::Counter* commits = nullptr;
+    obs::Counter* accepts_sent = nullptr;
+    obs::Counter* elections_started = nullptr;
+    obs::Counter* times_elected = nullptr;
+    obs::Counter* catchup_entries_served = nullptr;
+    obs::Counter* recoveries = nullptr;
+    obs::Counter* catchup_bytes = nullptr;
+    obs::Counter* repair_bytes = nullptr;  // share bytes fetched for repair/recovery
+    obs::Counter* checkpoints = nullptr;
+    obs::Counter* snapshot_installs = nullptr;
+    obs::Counter* snapshot_bytes = nullptr;
+    obs::Counter* share_gc_dropped = nullptr;
     obs::HistogramMetric* quorum_wait_us = nullptr;
     obs::HistogramMetric* commit_apply_us = nullptr;
     obs::HistogramMetric* commit_total_us = nullptr;

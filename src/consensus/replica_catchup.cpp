@@ -120,8 +120,8 @@ void Replica::serve_catchup(NodeId to, Slot from_slot, Slot to_slot) {
       need_repair.push_back(s);
       continue;
     }
-    m_.catchup_entries_served.inc();
-    m_.catchup_bytes.inc(ce.share.header.size() + ce.share.data.size());
+    m_.catchup_entries_served->inc();
+    m_.catchup_bytes->inc(ce.share.header.size() + ce.share.data.size());
     rep.entries.push_back(std::move(ce));
   }
   ctx_->send(to, MsgType::kCatchupRep, rep.encode());
@@ -185,7 +185,7 @@ void Replica::recover_payload(Slot slot, RecoverFn cb) {
   if (cb) rec.cbs.push_back(std::move(cb));
   if (rec.retry_timer != 0) return;  // fetch already in flight
 
-  m_.recoveries.inc();
+  m_.recoveries->inc();
   if (lit != log_.end() && lit->second.committed) {
     const CodedShare& own = lit->second.share;
     rec.vid = own.vid;
@@ -279,7 +279,7 @@ void Replica::on_fetch_share_req(NodeId from, FetchShareReqMsg msg) {
 
 void Replica::on_fetch_share_rep(NodeId from, FetchShareRepMsg msg) {
   (void)from;
-  if (msg.have) m_.repair_bytes.inc(msg.share.data.size());
+  if (msg.have) m_.repair_bytes->inc(msg.share.data.size());
   if (absorb_repair_rep(msg)) return;
   if (msg.sub_mask != 0) return;  // partial share: only repairs consume these
   auto rit = recoveries_.find(msg.slot);
@@ -500,8 +500,8 @@ void Replica::finish_share_repair(Slot slot) {
   ce.share.value_len = pr.value_len;
   ce.share.header = std::move(pr.header);
   ce.share.data = std::move(rebuilt).value();
-  m_.catchup_entries_served.inc();
-  m_.catchup_bytes.inc(ce.share.header.size() + ce.share.data.size());
+  m_.catchup_entries_served->inc();
+  m_.catchup_bytes->inc(ce.share.header.size() + ce.share.data.size());
   rep.entries.push_back(std::move(ce));
   ctx_->send(pr.requester, MsgType::kCatchupRep, rep.encode());
 }

@@ -89,7 +89,7 @@ void Replica::maybe_checkpoint() {
       if (ckpt_.has_value() && ckpt_->id == id) ckpt_.reset();
       return;
     }
-    m_.checkpoints.inc();
+    m_.checkpoints->inc();
     if (m_.snapshot_duration_us != nullptr) {
       m_.snapshot_duration_us->observe(static_cast<int64_t>(ctx_->now() - t0));
     }
@@ -123,7 +123,7 @@ void Replica::save_own_fragment(snapshot::SnapshotManifest man, Bytes frag,
           if (then) then(st);
           return;
         }
-        m_.snapshot_bytes.inc(frag.size());
+        m_.snapshot_bytes->inc(frag.size());
         const Slot barrier = static_cast<Slot>(man.applied_index);
         snap_man_ = std::move(man);
         snap_frag_ = std::move(frag);
@@ -511,7 +511,7 @@ void Replica::finish_install() {
   commit_index_ = std::max(commit_index_, barrier);
   next_slot_ = std::max(next_slot_, static_cast<Slot>(ins.man.next_slot));
   state_ready_ = true;
-  m_.snapshot_installs.inc();
+  m_.snapshot_installs->inc();
   RSP_INFO << "node " << ctx_->id() << " installed snapshot " << ins.man.checkpoint_id
            << " at barrier " << barrier << " (" << image.size() << "B from "
            << input.size() << " fragments)";

@@ -209,11 +209,7 @@ void KvClient::finish(uint64_t req_id, Status st, Bytes value, bool found) {
   bool occupied_slot = o->state != OpState::kQueued;
   outstanding_.erase(req_id);
   if (occupied_slot && inflight_ > 0) --inflight_;
-  if (st.is_ok()) {
-    stats_.completed++;
-  } else {
-    stats_.failed++;
-  }
+  if (st.is_ok()) stats_.completed++;
   set_inflight_gauge();
   // Callbacks may submit new ops (closed-loop callers): they see the freed
   // window slot first; whatever is left goes to the queued ops below.
@@ -260,7 +256,6 @@ void KvClient::cancel_all(Status st) {
     cbs.emplace_back(std::move(o.put_cb), std::move(o.get_cb));
   });
   outstanding_.clear();
-  stats_.failed += cbs.size();
   set_inflight_gauge();
   for (auto& [put_cb, get_cb] : cbs) {
     if (put_cb) put_cb(st);
@@ -320,7 +315,6 @@ void KvClient::on_message(NodeId from, MsgType type, BytesView payload) {
       // Admission control shed us: the leader is alive and correct, just
       // saturated. Keep the leader cache; back off with jittered exponential
       // delay so a fleet of shed clients does not resynchronize into waves.
-      stats_.overload_backoffs++;
       overload_counter_->inc();
       int exp = o->overloads < 7 ? o->overloads : 7;
       o->overloads++;
@@ -353,7 +347,6 @@ void KvClient::note_epoch(uint64_t epoch) {
 
 void KvClient::refresh_routing() {
   refresh_inflight_ = true;
-  stats_.routing_refreshes++;
   get(kRoutingKey, [this](StatusOr<Bytes> r) {
     refresh_inflight_ = false;
     if (!r.is_ok()) return;  // not written yet / transient; piggybacks re-arm

@@ -97,12 +97,9 @@ class KvClient final : public MessageHandler {
   };
 
   struct Stats {
-    uint64_t completed = 0;          // ops finished ok / not-found
-    uint64_t failed = 0;             // ops failed definitively
-    uint64_t overload_backoffs = 0;  // kOverloaded replies absorbed
-    uint64_t timeouts = 0;           // per-attempt timeouts fired
-    uint64_t wrong_shard = 0;        // kWrongShard redirects followed
-    uint64_t routing_refreshes = 0;  // full "!routing" map fetches issued
+    uint64_t completed = 0;    // ops finished ok / not-found
+    uint64_t timeouts = 0;     // per-attempt timeouts fired
+    uint64_t wrong_shard = 0;  // kWrongShard redirects followed
   };
 
   KvClient(NodeContext* ctx, RoutingTable routing, Options opts);
@@ -124,7 +121,6 @@ class KvClient final : public MessageHandler {
   /// transport-first teardown order).
   void cancel_all(Status st);
 
-  uint64_t ops_completed() const { return stats_.completed; }
   const Stats& stats() const { return stats_; }
   /// Ops occupying window slots (on the wire or in a retry wait).
   size_t inflight() const { return inflight_; }

@@ -292,7 +292,7 @@ void MigrationDriver::on_migrate_ack(NodeId from, const MigrateAckMsg& msg) {
 void MigrationDriver::chunk_acked() {
   uint64_t bytes = out_.header.size() + out_.payload.size();
   moved_bytes_ += bytes;
-  kv_->m_.reshard_moved_bytes.inc(bytes);
+  kv_->m_.reshard_moved_bytes->inc(bytes);
   out_ = MigrateDataMsg{};  // release the retransmit buffers
   pump();
 }
@@ -415,7 +415,7 @@ void MigrationDriver::finish(bool ok) {
   meta_req_id_ = 0;
   chunk_outstanding_ = false;
   phase_ = ok ? Phase::kDone : Phase::kAborted;
-  (ok ? kv_->m_.reshard_ok : kv_->m_.reshard_aborted).inc();
+  (ok ? kv_->m_.reshard_ok : kv_->m_.reshard_aborted)->inc();
   RSP_INFO << "kv node " << kv_->ctx_->id() << " migration " << id_ << " of shard "
            << shard_ << (ok ? " completed; " : " aborted; ") << moved_bytes_
            << " bytes moved";

@@ -35,8 +35,7 @@ KvServer::KvServer(NodeContext* ctx, storage::Wal* wal, GroupConfig cfg,
   std::string node = std::to_string(ctx_->id());
   std::string group = std::to_string(opts.group_id);
   auto counter = [&](const char* name, const char* help) {
-    return obs::CounterView(
-        &reg.counter_family(name, help, {"node", "group"}).with({node, group}));
+    return &reg.counter_family(name, help, {"node", "group"}).with({node, group});
   };
   m_.puts = counter("rsp_kv_puts_total", "Put/delete requests accepted by this server");
   m_.fast_reads = counter("rsp_kv_fast_reads_total", "Lease-gated leader-local reads");
@@ -54,11 +53,10 @@ KvServer::KvServer(NodeContext* ctx, storage::Wal* wal, GroupConfig cfg,
   // attributable to one overloaded core rather than the whole machine.
   std::string reactor = std::to_string(kv_opts_.reactor);
   auto shed = [&](const char* reason) {
-    return obs::CounterView(
-        &reg.counter_family("rsp_admission_shed_total",
-                            "Client requests bounced with kOverloaded by admission control",
-                            {"node", "group", "reactor", "reason"})
-             .with({node, group, reactor, reason}));
+    return &reg.counter_family("rsp_admission_shed_total",
+                               "Client requests bounced with kOverloaded by admission control",
+                               {"node", "group", "reactor", "reason"})
+                .with({node, group, reactor, reason});
   };
   m_.shed_inflight = shed("inflight");
   m_.shed_queue_bytes = shed("queue_bytes");
@@ -66,11 +64,10 @@ KvServer::KvServer(NodeContext* ctx, storage::Wal* wal, GroupConfig cfg,
   m_.wrong_shard = counter("rsp_kv_wrong_shard_total",
                            "Client requests bounced to the shard's owning group");
   auto reshard = [&](const char* result) {
-    return obs::CounterView(
-        &reg.counter_family("rsp_reshard_migrations_total",
-                            "Shard migrations driven by this server, by outcome",
-                            {"node", "group", "result"})
-             .with({node, group, result}));
+    return &reg.counter_family("rsp_reshard_migrations_total",
+                               "Shard migrations driven by this server, by outcome",
+                               {"node", "group", "result"})
+                .with({node, group, result});
   };
   m_.reshard_ok = reshard("ok");
   m_.reshard_aborted = reshard("aborted");
@@ -107,7 +104,7 @@ bool KvServer::admit(NodeId from, uint64_t req_id, size_t bytes, bool replicatin
   const KvAdmissionOptions& a = kv_opts_.admission;
   if (replicating) {
     if (a.max_inflight != 0 && adm_inflight_ >= a.max_inflight) {
-      m_.shed_inflight.inc();
+      m_.shed_inflight->inc();
       reply(from, req_id, ReplyCode::kOverloaded);
       return false;
     }
@@ -115,32 +112,17 @@ bool KvServer::admit(NodeId from, uint64_t req_id, size_t bytes, bool replicatin
         adm_queue_bytes_ > 0) {
       // (A single value larger than the whole budget is still admitted when
       // the queue is empty — rejecting it forever would wedge that client.)
-      m_.shed_queue_bytes.inc();
+      m_.shed_queue_bytes->inc();
       reply(from, req_id, ReplyCode::kOverloaded);
       return false;
     }
   }
   if (a.shed_on_health && health_ != nullptr && health_->overloaded()) {
-    m_.shed_health.inc();
+    m_.shed_health->inc();
     reply(from, req_id, ReplyCode::kOverloaded);
     return false;
   }
   return true;
-}
-
-KvServerStats KvServer::stats() const {
-  KvServerStats s;
-  s.puts = m_.puts.value();
-  s.fast_reads = m_.fast_reads.value();
-  s.consistent_reads = m_.consistent_reads.value();
-  s.recovery_reads = m_.recovery_reads.value();
-  s.ec_degraded_reads = m_.ec_degraded_reads.value();
-  s.redirects = m_.redirects.value();
-  s.batches_committed = m_.batches_committed.value();
-  s.admission_shed =
-      m_.shed_inflight.value() + m_.shed_queue_bytes.value() + m_.shed_health.value();
-  s.wrong_shard = m_.wrong_shard.value();
-  return s;
 }
 
 void KvServer::on_message(NodeId from, MsgType type, BytesView payload) {
@@ -204,7 +186,7 @@ void KvServer::handle_client(NodeId from, ClientRequest req) {
     shard = static_cast<uint32_t>(shard_of(req.key, map->num_shards()));
     uint32_t owner = map->group_of(shard);
     if (owner != group_) {
-      m_.wrong_shard.inc();
+      m_.wrong_shard->inc();
       reply(from, req.req_id, ReplyCode::kWrongShard, {}, owner);
       return;
     }
@@ -212,7 +194,7 @@ void KvServer::handle_client(NodeId from, ClientRequest req) {
   // All consistency-bearing requests go through the leader (§1: "a follower
   // ... redirects all consistent requests to the leader").
   if (!replica_.is_leader()) {
-    m_.redirects.inc();
+    m_.redirects->inc();
     reply(from, req.req_id, ReplyCode::kNotLeader);
     return;
   }
@@ -244,7 +226,7 @@ void KvServer::handle_client(NodeId from, ClientRequest req) {
 }
 
 void KvServer::do_put(NodeId from, ClientRequest req) {
-  m_.puts.inc();
+  m_.puts->inc();
   size_t bytes = req.value.size();
   uint32_t shard = shard_of_key(req.key);
   admission_acquire(bytes);
@@ -333,7 +315,7 @@ void KvServer::flush_batch() {
                    [this, waiters = std::move(waiters),
                     batch_bytes](StatusOr<consensus::Slot> r) {
                      ReplyCode code = r.is_ok() ? ReplyCode::kOk : ReplyCode::kRetry;
-                     if (r.is_ok()) m_.batches_committed.inc();
+                     if (r.is_ok()) m_.batches_committed->inc();
                      // Each waiter acquired one inflight slot; together they
                      // acquired the batch's payload bytes.
                      for (size_t i = 0; i < waiters.size(); ++i) {
@@ -353,12 +335,12 @@ void KvServer::do_fast_get(NodeId from, ClientRequest req) {
     do_consistent_get(from, std::move(req));
     return;
   }
-  m_.fast_reads.inc();
+  m_.fast_reads->inc();
   finish_get(from, req.req_id, req.key);
 }
 
 void KvServer::do_consistent_get(NodeId from, ClientRequest req) {
-  m_.consistent_reads.inc();
+  m_.consistent_reads->inc();
   admission_acquire(0);
   // Preserve client-visible order: everything queued for batching commits
   // before the read marker.
@@ -392,8 +374,8 @@ void KvServer::finish_get(NodeId from, uint64_t req_id, const std::string& key) 
   // Recovery read (§4.4): this (new) leader only has a coded share of the
   // value; gather >= X shares from the group, decode, cache, reply. "The
   // cost of a recovery read is similar to a write."
-  m_.recovery_reads.inc();
-  m_.ec_degraded_reads.inc();
+  m_.recovery_reads->inc();
+  m_.ec_degraded_reads->inc();
   uint64_t slot = rec->slot;
   uint64_t off = rec->slice_off;
   uint64_t len = rec->slice_len;

@@ -23,20 +23,6 @@
 
 namespace rspaxos::kv {
 
-/// Snapshot of this server's request counters (per-instance deltas over the
-/// shared obs::MetricsRegistry families).
-struct KvServerStats {
-  uint64_t puts = 0;
-  uint64_t fast_reads = 0;
-  uint64_t consistent_reads = 0;
-  uint64_t recovery_reads = 0;
-  uint64_t ec_degraded_reads = 0;  // reads decoded from a gathered share set
-  uint64_t redirects = 0;
-  uint64_t batches_committed = 0;
-  uint64_t admission_shed = 0;  // requests bounced with kOverloaded (all reasons)
-  uint64_t wrong_shard = 0;     // requests bounced with kWrongShard
-};
-
 /// Per-group admission control: overload is answered with kOverloaded (the
 /// client backs off) instead of queueing without bound. A request that
 /// consumes replication capacity (put / delete / consistent read) is admitted
@@ -116,7 +102,6 @@ class KvServer final : public MessageHandler {
   consensus::Replica& replica() { return replica_; }
   const consensus::Replica& replica() const { return replica_; }
   const LocalStore& store() const { return store_; }
-  KvServerStats stats() const;
 
   /// Live admission-control occupancy (loop thread only; tests/benchmarks).
   size_t admission_inflight() const { return adm_inflight_; }
@@ -201,19 +186,26 @@ class KvServer final : public MessageHandler {
   // (ok or failed), so leadership loss can never leak budget.
   size_t adm_inflight_ = 0;
   size_t adm_queue_bytes_ = 0;
-  /// Cached registry handles, labeled by node id (delta views: see replica.h).
+  /// Cached registry handles, labeled by node and group.
   struct Metrics {
-    obs::CounterView puts, fast_reads, consistent_reads;
-    obs::CounterView recovery_reads, redirects, batches_committed;
+    obs::Counter* puts = nullptr;
+    obs::Counter* fast_reads = nullptr;
+    obs::Counter* consistent_reads = nullptr;
+    obs::Counter* recovery_reads = nullptr;
+    obs::Counter* redirects = nullptr;
+    obs::Counter* batches_committed = nullptr;
     /// Reads answered from gathered shares while the local row was only a
     /// coded share (DESIGN.md §13 degraded reads). Superset label of
     /// recovery_reads kept separate so EC-policy dashboards don't depend on
     /// the legacy recovery-read series.
-    obs::CounterView ec_degraded_reads;
-    obs::CounterView shed_inflight, shed_queue_bytes, shed_health;
-    obs::CounterView wrong_shard;       // requests bounced to the owning group
-    obs::CounterView reshard_ok, reshard_aborted;  // migrations by outcome
-    obs::CounterView reshard_moved_bytes;          // chunk bytes acked by dest
+    obs::Counter* ec_degraded_reads = nullptr;
+    obs::Counter* shed_inflight = nullptr;
+    obs::Counter* shed_queue_bytes = nullptr;
+    obs::Counter* shed_health = nullptr;
+    obs::Counter* wrong_shard = nullptr;          // requests bounced to the owning group
+    obs::Counter* reshard_ok = nullptr;           // migrations by outcome
+    obs::Counter* reshard_aborted = nullptr;
+    obs::Counter* reshard_moved_bytes = nullptr;  // chunk bytes acked by dest
     obs::Gauge* adm_inflight = nullptr;
     obs::Gauge* adm_queue_bytes = nullptr;
   } m_;

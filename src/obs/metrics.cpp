@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "util/logging.h"
@@ -136,6 +137,31 @@ Family<Gauge>& MetricsRegistry::gauge_family(const std::string& name, const std:
 Family<HistogramMetric>& MetricsRegistry::histogram_family(
     const std::string& name, const std::string& help, std::vector<std::string> label_names) {
   return family_in(histograms_, Kind::kHistogram, name, help, std::move(label_names));
+}
+
+uint64_t MetricsRegistry::counter_sum(
+    const std::string& name,
+    const std::vector<std::pair<std::string, std::string>>& match) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  auto it = counters_.find(name);
+  if (it == counters_.end()) return 0;
+  const Family<Counter>& f = *it->second;
+  const std::vector<std::string>& names = f.label_names();
+  // Resolve each wanted label to its position in the family's tuple.
+  std::vector<std::pair<size_t, const std::string*>> want;
+  for (const auto& [label, value] : match) {
+    auto pos = std::find(names.begin(), names.end(), label);
+    if (pos == names.end()) return 0;
+    want.emplace_back(static_cast<size_t>(pos - names.begin()), &value);
+  }
+  uint64_t sum = 0;
+  f.for_each([&](const std::vector<std::string>& values, const Counter& c) {
+    for (const auto& [i, value] : want) {
+      if (values[i] != *value) return;
+    }
+    sum += c.value();
+  });
+  return sum;
 }
 
 std::string MetricsRegistry::to_prometheus() const {

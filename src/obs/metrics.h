@@ -24,6 +24,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/histogram.h"
@@ -83,30 +84,6 @@ class HistogramMetric {
  private:
   mutable std::mutex mu_;
   Histogram h_;
-};
-
-/// Per-owner delta view over a shared registry counter. Several components
-/// with the same labels (e.g. successive clusters in one process reusing node
-/// ids) share one registry counter; each owner's legacy stats() accessor
-/// reports only what *it* contributed by snapshotting the value at
-/// construction. inc() is exactly one atomic add on the shared counter.
-class CounterView {
- public:
-  CounterView() = default;
-  explicit CounterView(Counter* c) : c_(c), base_(c->value()) {}
-
-  void inc(uint64_t n = 1) {
-    if (c_ != nullptr) c_->inc(n);
-  }
-  uint64_t value() const {
-    if (c_ == nullptr) return 0;
-    uint64_t v = c_->value();
-    return v >= base_ ? v - base_ : v;  // registry reset(): report absolute
-  }
-
- private:
-  Counter* c_ = nullptr;
-  uint64_t base_ = 0;
 };
 
 /// A named family of metrics sharing one label set. `with()` returns the
@@ -180,6 +157,15 @@ class MetricsRegistry {
   HistogramMetric& histogram(const std::string& name, const std::string& help) {
     return histogram_family(name, help).with({});
   }
+
+  /// Sum of the children of counter family `name` whose labels contain every
+  /// (label, value) pair of `match` (empty: the whole family). 0 for an
+  /// unknown family, label or value. Read-only: never registers a family or
+  /// child, so exports are unaffected. Counters are process-wide and shared
+  /// by every instance with the same labels, so callers that care about one
+  /// run read a delta against a baseline taken before it.
+  uint64_t counter_sum(const std::string& name,
+                       const std::vector<std::pair<std::string, std::string>>& match = {}) const;
 
   /// Prometheus text exposition format. Histograms export as summaries
   /// (quantile label) plus _sum/_count.

@@ -25,37 +25,6 @@ namespace {
 constexpr uint32_t kManifestMagic = 0x52535741;  // "RSWA"
 constexpr uint32_t kManifestVersion = 2;         // v2: group-tagged records
 
-/// Shared WAL metric handles (one label-less set per process; both WAL
-/// implementations report under the same names).
-struct WalMetrics {
-  obs::Counter* bytes_durable;
-  obs::Counter* flushes;
-  obs::Counter* truncated;
-  obs::Counter* truncates;
-  obs::HistogramMetric* fsync_us;
-  obs::HistogramMetric* batch_records;
-
-  static WalMetrics& get() {
-    static WalMetrics* m = [] {
-      auto& reg = obs::MetricsRegistry::global();
-      auto* w = new WalMetrics();
-      w->bytes_durable =
-          &reg.counter("rsp_wal_bytes_durable", "Framed WAL bytes written and fsynced");
-      w->flushes = &reg.counter("rsp_wal_flush_total", "Group-commit flush operations");
-      w->truncated = &reg.counter("rsp_wal_truncated_bytes",
-                                  "Durable WAL bytes reclaimed by prefix truncation");
-      w->truncates =
-          &reg.counter("rsp_wal_truncate_total", "WAL prefix truncation operations");
-      w->fsync_us =
-          &reg.histogram("rsp_wal_fsync_us", "Write+fsync latency per group-commit batch");
-      w->batch_records =
-          &reg.histogram("rsp_wal_batch_records", "Records coalesced per group-commit batch");
-      return w;
-    }();
-    return *m;
-  }
-};
-
 // Record payloads open with a u32 group key: group << 1 | is_marker. Data
 // records carry the caller's bytes after the key; marker records embed the
 // group's replacement head (u32 count, then u32 len + bytes per record).

@@ -3,40 +3,6 @@
 #include "obs/metrics.h"
 
 namespace rspaxos::storage {
-namespace {
-
-/// Same metric names as FileWal so sim and real runs are comparable; fsync
-/// latency here is sim-time (deterministic).
-struct SimWalMetrics {
-  obs::Counter* bytes_durable;
-  obs::Counter* flushes;
-  obs::Counter* truncated;
-  obs::Counter* truncates;
-  obs::HistogramMetric* fsync_us;
-  obs::HistogramMetric* batch_records;
-
-  static SimWalMetrics& get() {
-    static SimWalMetrics* m = [] {
-      auto& reg = obs::MetricsRegistry::global();
-      auto* w = new SimWalMetrics();
-      w->bytes_durable =
-          &reg.counter("rsp_wal_bytes_durable", "Framed WAL bytes written and fsynced");
-      w->flushes = &reg.counter("rsp_wal_flush_total", "Group-commit flush operations");
-      w->truncated = &reg.counter("rsp_wal_truncated_bytes",
-                                  "Durable WAL bytes reclaimed by prefix truncation");
-      w->truncates =
-          &reg.counter("rsp_wal_truncate_total", "WAL prefix truncation operations");
-      w->fsync_us =
-          &reg.histogram("rsp_wal_fsync_us", "Write+fsync latency per group-commit batch");
-      w->batch_records =
-          &reg.histogram("rsp_wal_batch_records", "Records coalesced per group-commit batch");
-      return w;
-    }();
-    return *m;
-  }
-};
-
-}  // namespace
 
 void SimWal::append(uint32_t g, Bytes record, DurableFn cb) {
   if (g >= groups_.size()) groups_.resize(g + 1);
@@ -84,7 +50,7 @@ void SimWal::maybe_flush() {
       if (retain_) gs.durable = std::move(t.head);
       bytes_flushed_ += nbytes;
       gs.bytes_flushed += nbytes;
-      SimWalMetrics& wm = SimWalMetrics::get();
+      WalMetrics& wm = WalMetrics::get();
       wm.bytes_durable->inc(nbytes);
       wm.flushes->inc();
       wm.truncated->inc(reclaimed);
@@ -114,7 +80,7 @@ void SimWal::maybe_flush() {
   disk_->write(nbytes, [this, batch, nbytes, issued_at, epoch = wipe_epoch_] {
     if (epoch != wipe_epoch_) return;  // crashed mid-flush: records lost
     bytes_flushed_ += nbytes;
-    SimWalMetrics& wm = SimWalMetrics::get();
+    WalMetrics& wm = WalMetrics::get();
     wm.bytes_durable->inc(nbytes);
     wm.flushes->inc();
     int64_t fsync_us = static_cast<int64_t>(disk_->world()->now() - issued_at);

@@ -1,6 +1,27 @@
 #include "storage/wal.h"
 
+#include "obs/metrics.h"
+
 namespace rspaxos::storage {
+
+WalMetrics& WalMetrics::get() {
+  static WalMetrics* m = [] {
+    auto& reg = obs::MetricsRegistry::global();
+    auto* w = new WalMetrics();
+    w->bytes_durable =
+        &reg.counter("rsp_wal_bytes_durable", "Framed WAL bytes written and fsynced");
+    w->flushes = &reg.counter("rsp_wal_flush_total", "Group-commit flush operations");
+    w->truncated = &reg.counter("rsp_wal_truncated_bytes",
+                                "Durable WAL bytes reclaimed by prefix truncation");
+    w->truncates = &reg.counter("rsp_wal_truncate_total", "WAL prefix truncation operations");
+    w->fsync_us =
+        &reg.histogram("rsp_wal_fsync_us", "Write+fsync latency per group-commit batch");
+    w->batch_records =
+        &reg.histogram("rsp_wal_batch_records", "Records coalesced per group-commit batch");
+    return w;
+  }();
+  return *m;
+}
 
 Wal* MuxWal::group(uint32_t g) {
   if (g >= num_groups()) return nullptr;

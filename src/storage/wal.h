@@ -16,7 +16,26 @@
 #include "util/bytes.h"
 #include "util/status.h"
 
+namespace rspaxos::obs {
+class Counter;
+class HistogramMetric;
+}  // namespace rspaxos::obs
+
 namespace rspaxos::storage {
+
+/// The process-wide rsp_wal_* metric handles (label-less). FileWal and
+/// SimWal both record into them, so sim and real runs are comparable; a
+/// SimWal's fsync latency is sim time (deterministic).
+struct WalMetrics {
+  obs::Counter* bytes_durable;
+  obs::Counter* flushes;
+  obs::Counter* truncated;
+  obs::Counter* truncates;
+  obs::HistogramMetric* fsync_us;
+  obs::HistogramMetric* batch_records;
+
+  static WalMetrics& get();
+};
 
 /// Append-only durable record log with prefix truncation (log compaction).
 class Wal {

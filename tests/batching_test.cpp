@@ -3,6 +3,8 @@
 // ordering vs consistent reads, and deletes inside batches.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "node/sim_cluster.h"
 
 namespace rspaxos::kv {
@@ -39,6 +41,13 @@ struct BatchFixture {
   }
 };
 
+// Registry counter `name` of server s's group-0 endpoint. Earlier clusters in
+// this process reuse the node ids, so tests read deltas.
+uint64_t counter(const char* name, int s) {
+  return obs::MetricsRegistry::global().counter_sum(
+      name, {{"node", std::to_string(net::endpoint_id(s, 0))}});
+}
+
 TEST(BatchWire, HeaderRoundTrip) {
   BatchHeader h;
   h.items.push_back(BatchItem{Op::kPut, "alpha", 0, 100});
@@ -65,6 +74,13 @@ TEST(BatchWire, RejectsNonBatchAndJunk) {
 }
 
 TEST(Batching, ConcurrentWritesShareOneInstance) {
+  // Baselines before the cluster exists, so the commit bound below also
+  // covers whatever its election committed.
+  std::array<uint64_t, 5> batches0{}, commits0{};
+  for (int s = 0; s < 5; ++s) {
+    batches0[s] = counter("rsp_kv_batches_committed_total", s);
+    commits0[s] = counter("rsp_consensus_commits_total", s);
+  }
   BatchFixture f;
   int done = 0;
   constexpr int kWrites = 10;
@@ -78,10 +94,9 @@ TEST(Batching, ConcurrentWritesShareOneInstance) {
   ASSERT_TRUE(f.run_until([&] { return done == kWrites; }));
   int leader = f.cluster.leader_server_of(0);
   ASSERT_GE(leader, 0);
-  const auto& stats = f.cluster.server(leader, 0)->stats();
   // All ten writes landed in very few composite instances.
-  EXPECT_GE(stats.batches_committed, 1u);
-  EXPECT_LE(f.cluster.server(leader, 0)->replica().stats().commits, 4u);
+  EXPECT_GE(counter("rsp_kv_batches_committed_total", leader) - batches0[leader], 1u);
+  EXPECT_LE(counter("rsp_consensus_commits_total", leader) - commits0[leader], 4u);
   // And every value reads back correctly.
   for (int i = 0; i < kWrites; ++i) {
     std::optional<Bytes> got;
@@ -130,6 +145,8 @@ TEST(Batching, RecoveryReadSlicesOneKeyOutOfTheBatch) {
     int l = f.cluster.leader_server_of(0);
     return l >= 0 && l != old_leader;
   }));
+  int new_leader = f.cluster.leader_server_of(0);
+  const uint64_t reads0 = counter("rsp_kv_recovery_reads_total", new_leader);
 
   // Read one key: the new leader decodes the whole instance payload and
   // returns just this key's slice.
@@ -140,8 +157,8 @@ TEST(Batching, RecoveryReadSlicesOneKeyOutOfTheBatch) {
   });
   ASSERT_TRUE(f.run_until([&] { return got.has_value(); }));
   EXPECT_EQ(*got, Bytes(128, 0x43));
-  int new_leader = f.cluster.leader_server_of(0);
-  EXPECT_GE(f.cluster.server(new_leader, 0)->stats().recovery_reads, 1u);
+  ASSERT_EQ(f.cluster.leader_server_of(0), new_leader);
+  EXPECT_GE(counter("rsp_kv_recovery_reads_total", new_leader) - reads0, 1u);
 }
 
 TEST(Batching, DeleteInsideBatch) {

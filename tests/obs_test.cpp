@@ -1,6 +1,6 @@
 // Tests for the observability subsystem: registry semantics and thread
-// safety, exporter golden output, metric-name sanitization, CounterView delta
-// snapshots, histogram quantile interpolation, the sim-driven StatsReporter,
+// safety, exporter golden output, metric-name sanitization, counter_sum label
+// matching, histogram quantile interpolation, the sim-driven StatsReporter,
 // and span tracing (unit-level and end-to-end over the simulated cluster).
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@ namespace rspaxos {
 namespace {
 
 using obs::Counter;
-using obs::CounterView;
 using obs::MetricsRegistry;
 using obs::SpanContext;
 using obs::Tracer;
@@ -67,20 +66,37 @@ TEST(Metrics, NamesAreSanitizedToConvention) {
   EXPECT_NE(prom.find("rsp_bad_name_chars 1"), std::string::npos) << prom;
 }
 
-TEST(Metrics, CounterViewReportsOnlyOwnContribution) {
-  Counter shared;
-  shared.inc(5);  // prior owner's traffic
-  CounterView view(&shared);
-  EXPECT_EQ(view.value(), 0u);
-  view.inc(2);
-  view.inc();
-  EXPECT_EQ(view.value(), 3u);
-  EXPECT_EQ(shared.value(), 8u);  // global total keeps everything
-  CounterView later(&shared);
-  EXPECT_EQ(later.value(), 0u);  // a new owner starts from zero again
-  CounterView null_view;
-  null_view.inc(7);  // no backing counter: inert, not a crash
-  EXPECT_EQ(null_view.value(), 0u);
+TEST(Metrics, CounterSumMatchesLabelSubsets) {
+  MetricsRegistry reg;
+  auto& shed = reg.counter_family("rsp_admission_shed_total", "t",
+                                  {"node", "group", "reactor", "reason"});
+  shed.with({"1", "0", "0", "inflight"}).inc(2);
+  shed.with({"1", "0", "0", "queue_bytes"}).inc(3);
+  shed.with({"1", "0", "0", "health"}).inc(5);
+  shed.with({"2", "0", "0", "inflight"}).inc(7);
+  reg.counter("rsp_test_plain_total", "t").inc(4);
+
+  // A subset of the labels sums every matching child: one node's sheds over
+  // its three reasons; no pairs at all sums the whole family.
+  EXPECT_EQ(reg.counter_sum("rsp_admission_shed_total", {{"node", "1"}}), 10u);
+  EXPECT_EQ(reg.counter_sum("rsp_admission_shed_total", {{"reason", "inflight"}}), 9u);
+  EXPECT_EQ(reg.counter_sum("rsp_admission_shed_total"), 17u);
+  EXPECT_EQ(reg.counter_sum("rsp_test_plain_total"), 4u);
+  // Every label given: exactly one child.
+  EXPECT_EQ(reg.counter_sum("rsp_admission_shed_total", {{"node", "1"},
+                                                          {"group", "0"},
+                                                          {"reactor", "0"},
+                                                          {"reason", "health"}}),
+            5u);
+
+  // Unknown family, label or value: 0, and nothing is registered.
+  const std::string before = reg.to_prometheus();
+  EXPECT_EQ(reg.counter_sum("rsp_test_missing_total"), 0u);
+  EXPECT_EQ(reg.counter_sum("rsp_test_missing_total", {{"node", "1"}}), 0u);
+  EXPECT_EQ(reg.counter_sum("rsp_admission_shed_total", {{"shard", "1"}}), 0u);
+  EXPECT_EQ(reg.counter_sum("rsp_admission_shed_total", {{"node", "3"}}), 0u);
+  EXPECT_EQ(reg.counter_sum("rsp_admission_shed_total", {{"node", "1"}, {"reason", "x"}}), 0u);
+  EXPECT_EQ(reg.to_prometheus(), before);
 }
 
 TEST(Metrics, ConcurrentIncrementsAreLossless) {

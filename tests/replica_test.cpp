@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "consensus/replica.h"
+#include "obs/metrics.h"
 #include "sim/sim_network.h"
 #include "sim/sim_world.h"
 #include "storage/wal.h"
@@ -270,12 +271,18 @@ TEST(Replica, RestartedFollowerCatchesUp) {
   c.world.run_for(1 * kSeconds);
   EXPECT_EQ(committed, 10) << "QW=4 of 5 still reachable";
 
+  auto served = [&] {
+    return obs::MetricsRegistry::global().counter_sum(
+        "rsp_consensus_catchup_entries_served_total",
+        {{"node", std::to_string(l->node->id())}});
+  };
+  const uint64_t served0 = served();
   victim->restart();
   c.world.run_for(5 * kSeconds);
   // The restarted node learned and applied all ten entries via catch-up
   // (leader re-encoded its fragments, §4.5).
   EXPECT_EQ(victim->applied.size(), 10u);
-  EXPECT_GE(l->replica->stats().catchup_entries_served, 1u);
+  EXPECT_GE(served() - served0, 1u);
 }
 
 TEST(Replica, LeaseBecomesValidAndGatesOnQuorum) {

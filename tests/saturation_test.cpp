@@ -32,17 +32,31 @@ KvClient::Options windowed_client() {
   return copts;
 }
 
-uint64_t total_shed(node::SimCluster& cluster) {
+// Registry totals are process-wide and earlier tests' clusters reuse the node
+// ids, so every test reads deltas against baselines taken before its cluster
+// exists.
+
+// kOverloaded bounces by every server's group-0 endpoint, all reasons.
+uint64_t total_shed(int num_servers) {
   uint64_t shed = 0;
-  for (int s = 0; s < cluster.options().num_servers; ++s) {
-    shed += cluster.server(s, 0)->stats().admission_shed;
+  for (int s = 0; s < num_servers; ++s) {
+    shed += obs::MetricsRegistry::global().counter_sum(
+        "rsp_admission_shed_total", {{"node", std::to_string(net::endpoint_id(s, 0))}});
   }
   return shed;
+}
+
+// Backoffs of the first client endpoint make_client() creates.
+uint64_t client_backoffs() {
+  return obs::MetricsRegistry::global().counter_sum(
+      "rsp_client_overload_backoffs_total", {{"node", std::to_string(net::kClientBase)}});
 }
 
 TEST(Saturation, OverloadShedsInsteadOfQueueingUnbounded) {
   sim::SimWorld world(41);
   node::SimClusterOptions opts = overload_opts();
+  const uint64_t shed0 = total_shed(opts.num_servers);
+  const uint64_t backoffs0 = client_backoffs();
   node::SimCluster cluster(&world, opts);
   cluster.wait_for_leaders();
   auto client = cluster.make_client(windowed_client());
@@ -73,8 +87,8 @@ TEST(Saturation, OverloadShedsInsteadOfQueueingUnbounded) {
   EXPECT_EQ(resolved, static_cast<uint64_t>(kOps)) << "every op must resolve";
   EXPECT_LE(max_inflight_seen, kInflightBudget)
       << "admission budget must bound the server's commit queue";
-  EXPECT_GT(total_shed(cluster), 0u) << "overload must shed, not absorb";
-  EXPECT_GT(client->stats().overload_backoffs, 0u)
+  EXPECT_GT(total_shed(opts.num_servers) - shed0, 0u) << "overload must shed, not absorb";
+  EXPECT_GT(client_backoffs() - backoffs0, 0u)
       << "client must have absorbed kOverloaded with backoff";
   EXPECT_FALSE(acked.empty()) << "backoff+retry must make progress";
 
@@ -93,6 +107,8 @@ TEST(Saturation, OverloadShedsInsteadOfQueueingUnbounded) {
 TEST(Saturation, BelowWatermarkLoadUnaffected) {
   sim::SimWorld world(42);
   node::SimClusterOptions opts = overload_opts();
+  const uint64_t shed0 = total_shed(opts.num_servers);
+  const uint64_t backoffs0 = client_backoffs();
   node::SimCluster cluster(&world, opts);
   cluster.wait_for_leaders();
   auto client = cluster.make_client(windowed_client());
@@ -114,8 +130,8 @@ TEST(Saturation, BelowWatermarkLoadUnaffected) {
   ASSERT_TRUE(finished);
   EXPECT_EQ(gen.recorder().failed(), 0u);
   EXPECT_GT(gen.recorder().ok(), 0u);
-  EXPECT_EQ(total_shed(cluster), 0u) << "no shedding below the watermark";
-  EXPECT_EQ(client->stats().overload_backoffs, 0u);
+  EXPECT_EQ(total_shed(opts.num_servers) - shed0, 0u) << "no shedding below the watermark";
+  EXPECT_EQ(client_backoffs() - backoffs0, 0u);
 }
 
 TEST(Saturation, QueueByteBudgetShedsBigValuesButAdmitsOversizedWhenIdle) {
@@ -123,6 +139,7 @@ TEST(Saturation, QueueByteBudgetShedsBigValuesButAdmitsOversizedWhenIdle) {
   node::SimClusterOptions opts = overload_opts();
   opts.kv.admission.max_inflight = 0;        // isolate the byte budget
   opts.kv.admission.max_queue_bytes = 16 * 1024;
+  const uint64_t shed0 = total_shed(opts.num_servers);
   node::SimCluster cluster(&world, opts);
   cluster.wait_for_leaders();
   auto client = cluster.make_client(windowed_client());
@@ -138,7 +155,7 @@ TEST(Saturation, QueueByteBudgetShedsBigValuesButAdmitsOversizedWhenIdle) {
   TimeMicros deadline = world.now() + 120 * kSeconds;
   while (resolved < kOps && world.now() < deadline) world.run_for(5 * kMillis);
   EXPECT_EQ(resolved, static_cast<uint64_t>(kOps));
-  EXPECT_GT(total_shed(cluster), 0u) << "byte budget must shed the burst";
+  EXPECT_GT(total_shed(opts.num_servers) - shed0, 0u) << "byte budget must shed the burst";
 
   // Oversized single value: bigger than the whole budget, but the queue is
   // empty — refusing it would wedge such writes forever, so it is admitted.

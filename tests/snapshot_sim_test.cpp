@@ -5,6 +5,7 @@
 // snapshot watermark never breaks reads.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <set>
 #include <string>
@@ -59,6 +60,13 @@ struct SnapFixture {
 
   int leader() const { return cluster.leader_server_of(0); }
   consensus::Replica& replica(int s) { return cluster.server(s, 0)->replica(); }
+
+  // Registry counter `name` of server s's group-0 endpoint. Earlier clusters
+  // in this process reuse the node ids, so tests read deltas.
+  static uint64_t counter(const char* name, int s) {
+    return obs::MetricsRegistry::global().counter_sum(
+        name, {{"node", std::to_string(net::endpoint_id(s, 0))}});
+  }
 };
 
 Bytes value_for(int i) {
@@ -80,6 +88,8 @@ std::map<std::string, Bytes> leader_state(SnapFixture& f) {
 TEST(SnapshotSim, CheckpointTruncatesWalAndRestartReplaysOnlySuffix) {
   node::SimClusterOptions opts;
   opts.replica.checkpoint_interval_slots = 16;
+  std::array<uint64_t, 5> ckpt0{};
+  for (int s = 0; s < 5; ++s) ckpt0[s] = SnapFixture::counter("rsp_snapshot_checkpoints_total", s);
   SnapFixture f(opts);
 
   const int kKeys = 60;
@@ -96,7 +106,7 @@ TEST(SnapshotSim, CheckpointTruncatesWalAndRestartReplaysOnlySuffix) {
 
   int leader = f.leader();
   ASSERT_GE(leader, 0);
-  EXPECT_GE(f.replica(leader).stats().checkpoints, 1u);
+  EXPECT_GE(f.counter("rsp_snapshot_checkpoints_total", leader) - ckpt0[leader], 1u);
   for (int s = 0; s < 5; ++s) {
     EXPECT_GT(f.cluster.wal(s, 0).truncated_bytes(), 0u) << "server " << s;
     EXPECT_GT(f.replica(s).snapshot_applied(), 0u) << "server " << s;
@@ -121,6 +131,7 @@ TEST(SnapshotSim, CheckpointTruncatesWalAndRestartReplaysOnlySuffix) {
   consensus::Slot target = f.replica(leader).last_applied();
   f.cluster.crash_server(follower);
   f.world.run_for(200 * kMillis);
+  const uint64_t installs0 = f.counter("rsp_snapshot_installs", follower);
   f.cluster.restart_server(follower);
   f.run_until([&] {
     return f.replica(follower).state_ready() &&
@@ -128,7 +139,7 @@ TEST(SnapshotSim, CheckpointTruncatesWalAndRestartReplaysOnlySuffix) {
   });
   EXPECT_TRUE(f.replica(follower).state_ready());
   EXPECT_GE(f.replica(follower).last_applied(), target);
-  EXPECT_GE(f.replica(follower).stats().snapshot_installs, 1u);
+  EXPECT_GE(f.counter("rsp_snapshot_installs", follower) - installs0, 1u);
   EXPECT_EQ(f.cluster.server(follower, 0)->store().size(),
             f.cluster.server(leader, 0)->store().size());
 
@@ -176,11 +187,12 @@ TEST(SnapshotSim, LaggingReplicaConvergesViaInstallSnapshot) {
   ASSERT_GT(f.replica(leader).log_start(), f.replica(4).last_applied() + 1)
       << "gap must predate the leader's log start for this test to bite";
 
+  const uint64_t installs0 = f.counter("rsp_snapshot_installs", 4);
   f.cluster.network().heal_partitions();
   consensus::Slot target = f.replica(leader).last_applied();
   f.run_until([&] { return f.replica(4).last_applied() >= target; });
   EXPECT_GE(f.replica(4).last_applied(), target);
-  EXPECT_GE(f.replica(4).stats().snapshot_installs, 1u)
+  EXPECT_GE(f.counter("rsp_snapshot_installs", 4) - installs0, 1u)
       << "the gap can only close through InstallSnapshot";
 
   // Control run: identical workload, snapshots off, no partition. The final
@@ -203,17 +215,19 @@ TEST(SnapshotSim, GatedShareGcKeepsDataReadable) {
   node::SimClusterOptions opts;
   opts.replica.checkpoint_interval_slots = 16;
   opts.replica.share_cache_slots = 8;
+  auto dropped_sum = [] {
+    uint64_t dropped = 0;
+    for (int s = 0; s < 5; ++s) dropped += SnapFixture::counter("rsp_share_gc_dropped", s);
+    return dropped;
+  };
+  const uint64_t dropped0 = dropped_sum();
   SnapFixture f(opts);
 
   // Keep writing until the gated GC has demonstrably dropped shares below
   // the snapshot watermark (adoption runs concurrently with the workload, so
   // the window where covered-but-uncompacted shares age out recurs every
   // checkpoint).
-  auto total_dropped = [&] {
-    uint64_t dropped = 0;
-    for (int s = 0; s < 5; ++s) dropped += f.replica(s).stats().share_gc_dropped;
-    return dropped;
-  };
+  auto total_dropped = [&] { return dropped_sum() - dropped0; };
   int keys = 0;
   const int kKeys = 60;
   while (keys < 240 && (keys < kKeys || total_dropped() == 0)) {

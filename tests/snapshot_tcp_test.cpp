@@ -167,6 +167,13 @@ TEST(SnapshotTcp, LateReplicaConvergesViaInstallSnapshot) {
   snaps.resize(kReplicas);
   nodes.assign(kReplicas, nullptr);
   transport = std::make_unique<net::TcpTransport>(addrs);
+  // The late replica's installs, from its first start on (registry totals
+  // are process-wide atomics, readable from this thread).
+  auto installs = [] {
+    return obs::MetricsRegistry::global().counter_sum(
+        "rsp_snapshot_installs", {{"node", std::to_string(kReplicas)}});
+  };
+  const uint64_t installs0 = installs();
   for (int i = 0; i < kReplicas; ++i) start_replica(i, /*bootstrap=*/false);
 
   cnode = transport->start_node(kClientId);
@@ -183,8 +190,7 @@ TEST(SnapshotTcp, LateReplicaConvergesViaInstallSnapshot) {
     });
   })) << "late replica never converged";
 
-  auto installs = on_loop(late, [&] { return late_srv->replica().stats().snapshot_installs; });
-  EXPECT_GE(installs, 1u) << "convergence must have gone through InstallSnapshot";
+  EXPECT_GE(installs() - installs0, 1u) << "convergence must have gone through InstallSnapshot";
   auto snap_applied = on_loop(late, [&] { return late_srv->replica().snapshot_applied(); });
   EXPECT_GT(snap_applied, 0u);
   // Its durable snapshot footprint is one coded fragment, not the full image.

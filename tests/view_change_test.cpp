@@ -180,5 +180,52 @@ TEST(ViewChangeE2E, RejectsSkippedEpoch) {
   EXPECT_TRUE(called);
 }
 
+// The election-timeout stagger is a protocol input kept per Replica
+// instance. Two identical clusters built one after the other in one process
+// must fail over identically: nothing process-wide that outlives the first
+// cluster (such as a registry counter shared by equal node ids) may feed it.
+TEST(FailoverDeterminism, RebuiltClusterElectsSameLeaderAtSameTime) {
+  struct Outcome {
+    int leader = -1;
+    TimeMicros elected_at = 0;
+    consensus::Slot commit_index = 0;
+  };
+  auto run = [] {
+    Outcome out;
+    Fixture f;
+    auto client = f.cluster.make_client();
+    int acked = 0;
+    for (int i = 0; i < 5; ++i) {
+      client->put("det-" + std::to_string(i), Bytes(600, static_cast<uint8_t>(i)),
+                  [&](Status s) { acked += s.is_ok() ? 1 : 0; });
+    }
+    f.world.run_for(1 * kSeconds);
+    EXPECT_EQ(acked, 5);
+    int old_leader = f.cluster.leader_server_of(0);
+    EXPECT_GE(old_leader, 0);
+    f.cluster.crash_server(old_leader);
+    TimeMicros deadline = f.world.now() + 10 * kSeconds;
+    while (f.world.now() < deadline) {
+      int l = f.cluster.leader_server_of(0);
+      if (l >= 0 && l != old_leader) break;
+      f.world.run_for(1 * kMillis);
+    }
+    out.leader = f.cluster.leader_server_of(0);
+    out.elected_at = f.world.now();
+    EXPECT_GE(out.leader, 0);
+    EXPECT_NE(out.leader, old_leader);
+    if (out.leader < 0) return out;
+    f.world.run_for(500 * kMillis);
+    out.commit_index = f.cluster.server(out.leader, 0)->replica().commit_index();
+    return out;
+  };
+  Outcome first = run();
+  Outcome second = run();
+  EXPECT_EQ(second.leader, first.leader);
+  EXPECT_EQ(second.elected_at, first.elected_at);
+  EXPECT_EQ(second.commit_index, first.commit_index);
+  EXPECT_GT(first.commit_index, 0u);
+}
+
 }  // namespace
 }  // namespace rspaxos::kv
